@@ -1,16 +1,17 @@
 #include <chrono>
 #include <cstdio>
 
-#include "runtime/threaded_cluster.hpp"
+#include "runtime/socket_smr.hpp"
 #include "smr/service.hpp"
 
-/// The same protocol, real threads, real clock. Part 1: nine OS threads
-/// (one per process), f = t = 2, two of them crashed — wall-clock time to
-/// a single Byzantine-fault-tolerant decision. Part 2: the full client
-/// API over the threaded runtime — two smr::ClientSessions drive a
-/// replicated KV service (typed ops, f + 1 signed-reply quorum per
-/// request), and a replica crash mid-run is absorbed by session failover
-/// plus wall-clock view change.
+/// The same protocol, real sockets, real clock. Part 1: nine replicas in
+/// this process, each with its own TCP endpoint on loopback, f = t = 2,
+/// two of them crashed before start — wall-clock time until every correct
+/// replica applied one Byzantine-fault-tolerant decision. Part 2: the
+/// full client API over the same socket runtime — two smr::ClientSessions
+/// drive a replicated KV service (typed ops, f + 1 signed-reply quorum
+/// per request), and a replica crash mid-run is absorbed by session
+/// failover plus wall-clock view change.
 ///
 /// Run: ./build/examples/realtime_quickstart
 
@@ -20,7 +21,7 @@ using namespace std::chrono_literals;
 
 namespace {
 
-int run_threaded_service() {
+int run_socket_service() {
   auto config = smr::ServiceConfig{}
                     .with_cluster(/*n=*/6, /*f=*/1, /*t=*/1)
                     .with_sessions(2)
@@ -29,7 +30,7 @@ int run_threaded_service() {
                     .with_rotating_leaders()
                     .with_window(8)
                     .with_first_gateway(1);
-  auto service = smr::make_threaded_service(config);
+  auto service = smr::make_socket_service(config);
 
   auto begin = steady_clock::now();
   service->start();
@@ -51,7 +52,7 @@ int run_threaded_service() {
     return true;
   };
   if (!service->run_until(all_ready, 30'000ms)) {
-    std::printf("threaded service made no progress — something is wrong\n");
+    std::printf("socket service made no progress — something is wrong\n");
     return 1;
   }
 
@@ -75,7 +76,7 @@ int run_threaded_service() {
     std::printf("the other session cannot see the write — bug\n");
     return 1;
   }
-  std::printf("\nreplicated KV service over OS threads (n = 6, depth = 8, "
+  std::printf("\nreplicated KV service over loopback TCP (n = 6, depth = 8, "
               "2 sessions, gateway p1 crashed mid-run):\n");
   for (std::uint32_t s = 0; s < 2; ++s) {
     std::printf("  session %u: %llu completed, %llu failovers\n", s,
@@ -98,41 +99,42 @@ int run_threaded_service() {
 }  // namespace
 
 int main() {
-  auto cfg = consensus::QuorumConfig::create(/*n=*/9, /*f=*/2, /*t=*/2);
-
-  std::vector<Value> inputs;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    inputs.push_back(Value::of_string("cmd-" + std::to_string(i)));
-  }
-
-  runtime::ThreadedCluster cluster(cfg, inputs);
+  runtime::SocketClusterConfig config;
+  config.cfg = consensus::QuorumConfig::create(/*n=*/9, /*f=*/2, /*t=*/2);
+  config.smr.target_commands = 1;
+  runtime::SocketSmrCluster cluster(config);
   cluster.crash(4);
   cluster.crash(8);
+  cluster.submit(smr::Command::put("greeting", "hello", /*client=*/1,
+                                   /*sequence=*/1));
 
   auto begin = steady_clock::now();
   cluster.start();
-  bool decided = cluster.wait_all_correct_decided(seconds(10));
+  bool decided = cluster.wait_applied(1, seconds(10));
   auto elapsed = duration_cast<microseconds>(steady_clock::now() - begin);
+  cluster.stop();
 
   if (!decided) {
     std::printf("no decision within 10s — something is wrong\n");
     return 1;
   }
 
-  std::printf("9 processes (2 crashed), f = t = 2, real threads:\n");
-  for (const auto& [pid, record] : cluster.decisions()) {
-    std::printf("  p%u decided \"%s\" in view %llu\n", pid,
-                record.value.to_string().c_str(),
-                static_cast<unsigned long long>(record.view));
+  std::printf("9 replicas (2 crashed), f = t = 2, loopback TCP:\n");
+  for (ProcessId id = 0; id < config.cfg.n; ++id) {
+    if (cluster.is_faulty(id)) continue;
+    const auto greeting = cluster.server(id).node().store().get("greeting");
+    std::printf("  p%u applied slot 1: greeting = \"%s\"\n", id,
+                greeting.value_or("?").c_str());
   }
-  std::printf("agreement: %s\n", cluster.agreement() ? "yes" : "NO (bug!)");
+  std::printf("agreement: %s\n",
+              cluster.correct_stores_agree() ? "yes" : "NO (bug!)");
   std::printf("wall-clock time to full decision: %lld us (%llu messages "
-              "delivered)\n",
+              "delivered, connection setup included)\n",
               static_cast<long long>(elapsed.count()),
               static_cast<unsigned long long>(cluster.delivered_messages()));
   std::printf("\n(the two-message-delay structure is the same as in the\n"
-              "simulator; here a \"delay\" is an in-process queue hop of a\n"
-              "few microseconds instead of a scripted Delta)\n");
+              "simulator; here a \"delay\" is a loopback TCP hop of tens of\n"
+              "microseconds instead of a scripted Delta)\n");
 
-  return run_threaded_service();
+  return run_socket_service();
 }

@@ -8,20 +8,22 @@ Per-experiment gating: every experiment below that appears in BOTH the
 baseline and the current run is checked at its canonical configuration,
 and ANY of them regressing beyond the threshold fails the gate.
 
-  * E9  — threaded wall-clock pipeline sweep, at the deepest pipeline
-          depth common to both files (the headline single-log number);
-  * E11 — closed-loop client sessions, at the highest common session
-          count (the full-client-path number);
-  * E13 — sharded multi-group sweep, at shards = 4 when both sides have
-          it (else the highest common shard count) — the aggregate
-          scale-out number.
+  * E9  — socket runtime wall-clock pipeline sweep, at the deepest
+          pipeline depth common to both files (the headline single-log
+          number);
+  * E11 — closed-loop client sessions on the socket runtime, at the
+          highest common session count (the full-client-path number);
+  * E13 — sharded multi-group sweep on the socket runtime, at
+          shards = 4 when both sides have it (else the highest common
+          shard count) — the aggregate scale-out number.
   * E15 — multi-process socket transport, at the highest common session
           count, PLUS an absolute gate on the current run alone: the
           depth sweep (batch 1, one session) must show depth-8 >= 2x
           depth-1 throughput, or pipelining has stopped surviving real
           sockets.
-  * E14 — open-loop latency sweep: gated on p99 completion latency
-          (higher is WORSE, so the gate is now <= ref * (1 + threshold)),
+  * E14 — open-loop latency sweep on the socket runtime: gated on p99
+          completion latency (higher is WORSE, so the gate is now
+          <= ref * (1 + threshold)),
           per mode, at the lowest offered rate common to both files —
           the rate where the tail is load-stable rather than
           saturation-noise. The BEST (lowest) p99 across the current

@@ -8,8 +8,6 @@ namespace fastbft {
 namespace {
 std::atomic<std::uint64_t> g_payload_allocs{0};
 std::atomic<std::uint64_t> g_payload_alloc_bytes{0};
-std::atomic<std::uint64_t> g_envelope_allocs{0};
-std::atomic<std::uint64_t> g_envelope_reuses{0};
 std::atomic<std::uint64_t>
     g_group_broadcasts[PayloadStats::kMaxTrackedGroups]{};
 
@@ -36,22 +34,6 @@ std::uint64_t PayloadStats::alloc_bytes() {
   return g_payload_alloc_bytes.load(std::memory_order_relaxed);
 }
 
-void PayloadStats::record_envelope_alloc() {
-  g_envelope_allocs.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PayloadStats::record_envelope_reuse() {
-  g_envelope_reuses.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t PayloadStats::envelope_allocs() {
-  return g_envelope_allocs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t PayloadStats::envelope_reuses() {
-  return g_envelope_reuses.load(std::memory_order_relaxed);
-}
-
 void PayloadStats::record_group_broadcast(std::uint32_t group) {
   g_group_broadcasts[clamp_group(group)].fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -65,8 +47,6 @@ std::uint64_t PayloadStats::group_broadcasts(std::uint32_t group) {
 void PayloadStats::reset() {
   g_payload_allocs.store(0, std::memory_order_relaxed);
   g_payload_alloc_bytes.store(0, std::memory_order_relaxed);
-  g_envelope_allocs.store(0, std::memory_order_relaxed);
-  g_envelope_reuses.store(0, std::memory_order_relaxed);
   for (auto& counter : g_group_broadcasts) {
     counter.store(0, std::memory_order_relaxed);
   }

@@ -80,15 +80,6 @@ class PayloadStats {
   /// to two relaxed fetch_adds is noise.
   static std::uint64_t thread_allocs();
 
-  /// Envelope-container accounting (net::ThreadedNetwork): one
-  /// envelope_alloc per freshly heap-allocated inbox queue node, one
-  /// envelope_reuse per node recycled from the per-inbox pool. In steady
-  /// state reuses dominate and allocs plateau at the pool warm-up.
-  static void record_envelope_alloc();
-  static void record_envelope_reuse();
-  static std::uint64_t envelope_allocs();
-  static std::uint64_t envelope_reuses();
-
   /// Per-consensus-group wrapped-broadcast accounting (sharded SMR): one
   /// group_broadcast is recorded per SMR_WRAPPED broadcast a group frames.
   /// Together with allocs() this makes the amortization claim testable —

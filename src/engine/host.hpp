@@ -10,8 +10,8 @@
 /// timers: the engine (SlotMux, TimerWheel, per-slot synchronizers) talks
 /// only to this interface, so the identical engine code runs on the
 /// deterministic simulator (SimHost, ticks = scheduler ticks) and on real
-/// OS threads over wall-clock time (ThreadedHost, ticks = microseconds of
-/// a steady clock).
+/// OS threads over wall-clock time (SocketHost, ticks = microseconds of a
+/// steady clock).
 ///
 /// Single-threaded-executor guarantee: every callback a Host runs — timer
 /// callbacks, deferred closures, and (by construction of the surrounding
@@ -37,7 +37,7 @@ class Host : public sim::TimerService {
   /// with its handlers and timers. Unlike defer()/schedule_after (which
   /// inherit the same-thread timer contract), post() MAY be called from
   /// any thread — it is how a driver thread reaches protocol or session
-  /// objects living on a delivery thread. On the single-threaded
+  /// objects living on a loop thread. On the single-threaded
   /// simulator it degenerates to defer().
   virtual void post(std::function<void()> fn) = 0;
 
@@ -48,8 +48,8 @@ class Host : public sim::TimerService {
   /// the single-threaded-executor guarantee protects — TimerWheel entries
   /// on schedule/cancel, SlotMux/AdaptiveController single-writer stats —
   /// extending the transport's arm/cancel affinity asserts to mutations
-  /// that never reach the transport. Single-threaded hosts are always ok;
-  /// threaded hosts delegate to the network's common::ThreadGuard, which
+  /// that never reach the transport. The simulator host is always ok;
+  /// SocketHost delegates to the network's common::ThreadGuard, which
   /// reports permissively when invariant checking is compiled out.
   virtual bool affinity_ok() const { return true; }
 };

@@ -24,7 +24,7 @@
 /// The engine is host-agnostic: it runs against the engine::Host seam
 /// (clock + timers + single-threaded executor), so the identical code
 /// drives the deterministic simulator (SimHost) and real OS threads over
-/// wall-clock time (ThreadedHost + runtime::ThreadedSmrCluster).
+/// wall-clock time (SocketHost + runtime::SocketSmrServer).
 ///
 /// Responsibilities:
 ///  * window management — slot s starts as soon as s < next_apply +
@@ -63,7 +63,7 @@
 namespace fastbft::engine {
 
 /// Cluster identity and key material the engine needs; host-independent.
-/// (The simulator fills this from runtime::ProcessContext; the threaded
+/// (The simulator fills this from runtime::ProcessContext; the socket
 /// runtime builds it directly.)
 struct EngineContext {
   consensus::QuorumConfig cfg;
@@ -79,14 +79,14 @@ struct EngineContext {
   GroupId group = 0;
 
   /// Optional in-flight-window gauge sink. Sim-only: NetworkStats is not
-  /// thread-safe, so threaded hosts leave it null.
+  /// thread-safe, so wall-clock hosts leave it null.
   net::NetworkStats* stats = nullptr;
 
   /// Signature-verification memo shared by every slot's Verifier on this
   /// node, so votes/certificate entries replayed across certs and
   /// pipelined slots skip redundant HMACs. Created by the SlotMux when
   /// null. Per-node, single-threaded — never share across nodes on the
-  /// threaded runtime.
+  /// socket runtime.
   std::shared_ptr<crypto::VerificationCache> verify_cache;
 };
 

@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -48,6 +50,28 @@ bool make_addr(const std::string& host, std::uint16_t port,
 
 }  // namespace
 
+LoopbackListener bind_loopback_listener(std::uint16_t port) {
+  LoopbackListener out;
+  const int fd = make_tcp_socket();
+  if (fd < 0) return out;
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+      ::listen(fd, 128) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return out;
+  }
+  out.fd = fd;
+  out.port = ntohs(addr.sin_port);
+  return out;
+}
+
 void SocketEndpoint::send(ProcessId to, SharedBytes payload) {
   net_.send(self_, to, std::move(payload));
 }
@@ -57,8 +81,7 @@ std::uint32_t SocketEndpoint::cluster_size() const { return net_.size(); }
 SocketNetwork::SocketNetwork(SocketNetworkConfig config)
     : config_(std::move(config)),
       handlers_(config_.peers.size()),
-      loops_(config_.peers.size()),
-      listen_ports_(config_.peers.size(), 0) {
+      loops_(config_.peers.size()) {
   FASTBFT_ASSERT(config_.cluster_size <= config_.peers.size(),
                  "peers table must cover the replica cluster");
 }
@@ -142,12 +165,6 @@ void SocketNetwork::start() {
                        "bind failed");
         FASTBFT_ASSERT(::listen(loop.listen_fd, 128) == 0, "listen failed");
       }
-      sockaddr_in bound;
-      socklen_t len = sizeof(bound);
-      if (::getsockname(loop.listen_fd,
-                        reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-        listen_ports_[loop.id] = ntohs(bound.sin_port);
-      }
       epoll_event lev{};
       lev.events = EPOLLIN;
       lev.data.u64 = make_tag(kTagListen, 0, 0);
@@ -161,7 +178,13 @@ void SocketNetwork::start() {
 }
 
 void SocketNetwork::stop() {
-  if (!started_ || stopped_.load()) {
+  if (stopped_.load()) return;
+  if (!started_) {
+    for (const auto& loop : loops_) {
+      if (loop && config_.peers[loop->id].adopted_listen_fd >= 0) {
+        ::close(config_.peers[loop->id].adopted_listen_fd);
+      }
+    }
     stopped_.store(true);
     return;
   }
@@ -204,11 +227,6 @@ TimePoint SocketNetwork::now_ticks() const {
       .count();
 }
 
-std::uint16_t SocketNetwork::listen_port(ProcessId id) const {
-  FASTBFT_ASSERT(id < total_size(), "listen_port: id out of range");
-  return listen_ports_[id];
-}
-
 void SocketNetwork::wake(Loop& loop) {
   if (loop.wake_fd < 0) return;
   std::uint64_t one = 1;
@@ -231,7 +249,7 @@ void SocketNetwork::send(ProcessId from, ProcessId to, SharedBytes payload) {
   if (to < loops_.size() && loops_[to]) {
     // Both endpoints live in this process: deliver through the target
     // loop's task queue — no socket, no copy, and the same deferred
-    // (non-reentrant) semantics as a ThreadedNetwork self-send.
+    // (non-reentrant) semantics as any other delivery.
     post(to, [this, from, to, payload = std::move(payload)] {
       if (!handlers_[to]) return;
       delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -253,13 +271,11 @@ void SocketNetwork::send_on_loop(Loop& loop, ProcessId to,
                                  SharedBytes payload) {
   loop.guard.check("send_on_loop: loop state is loop-thread-only");
   Link& link = *loop.links[to];
-  enqueue_frame(loop, link, to, std::move(payload), /*heartbeat=*/false);
+  enqueue_frame(link, std::move(payload), /*heartbeat=*/false);
 }
 
-void SocketNetwork::enqueue_frame(Loop& loop, Link& link, ProcessId peer,
-                                  SharedBytes payload, bool heartbeat) {
-  (void)loop;
-  (void)peer;
+void SocketNetwork::enqueue_frame(Link& link, SharedBytes payload,
+                                  bool heartbeat) {
   if (payload.size() > config_.max_frame_bytes ||
       link.sendq.size() >= config_.max_queued_frames) {
     link.stats.bump(link.stats.frames_dropped);
@@ -277,11 +293,11 @@ void SocketNetwork::enqueue_frame(Loop& loop, Link& link, ProcessId peer,
   if (heartbeat) link.stats.bump(link.stats.heartbeats_out);
 }
 
-// --- Timers (same-thread contract, mirrors ThreadedNetwork) -----------------
+// --- Timers (same-thread contract) -------------------------------------------
 
 void SocketNetwork::assert_timer_owner(const Loop& loop) const {
   // Guard is unbound before run_loop starts and after stop() joins, so
-  // setup/teardown-thread arms stay legal, exactly as on ThreadedNetwork.
+  // setup/teardown-thread arms stay legal.
   loop.guard.check(
       "timers must be armed/cancelled on the owning loop thread");
 }
@@ -307,6 +323,9 @@ void SocketNetwork::cancel_timer(ProcessId id, TimerKey key) {
 void SocketNetwork::run_loop(Loop& loop) {
   loop.owner.store(std::this_thread::get_id());
   loop.guard.bind();
+  // Wake on time: the default 50 us timer slack would delay every held
+  // tx_delay frame and sub-millisecond timer by up to that much.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   while (!stopping_.load(std::memory_order_acquire)) {
     loop_round(loop);
   }
@@ -355,14 +374,30 @@ void SocketNetwork::drain_tasks(Loop& loop) {
   for (auto& fn : tasks) fn();
 }
 
+/// epoll wait with microsecond precision: held tx_delay frames and
+/// sub-millisecond timers must not round up to a whole millisecond.
+/// Kernels without epoll_pwait2 (ENOSYS) get epoll_wait, rounded up.
+static int wait_events(int epoll_fd, epoll_event* events, int max_events,
+                       Duration timeout_us) {
+  static std::atomic<bool> have_pwait2{true};
+  if (have_pwait2.load(std::memory_order_relaxed)) {
+    const timespec ts{static_cast<time_t>(timeout_us / 1'000'000),
+                      static_cast<long>(timeout_us % 1'000'000) * 1000};
+    const int nev = ::epoll_pwait2(epoll_fd, events, max_events, &ts, nullptr);
+    if (nev >= 0 || errno != ENOSYS) return nev;
+    have_pwait2.store(false, std::memory_order_relaxed);
+  }
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>((timeout_us + 999) / 1000));
+}
+
 void SocketNetwork::loop_round(Loop& loop) {
   TimePoint now = now_ticks();
-  const TimePoint deadline = next_deadline(loop, now);
-  const int timeout_ms = static_cast<int>(
-      std::clamp<TimePoint>((deadline - now + 999) / 1000, 0, 100));
+  // next_deadline caps the wait at 100 ms.
+  const Duration timeout_us = next_deadline(loop, now) - now;
 
   epoll_event events[64];
-  const int nev = ::epoll_wait(loop.epoll_fd, events, 64, timeout_ms);
+  const int nev = wait_events(loop.epoll_fd, events, 64, timeout_us);
 
   drain_tasks(loop);
 
@@ -405,7 +440,7 @@ void SocketNetwork::loop_round(Loop& loop) {
         }
         if (link.gen != gen || link.fd < 0) break;
         if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-          link_down(loop, link, index, link.state == LinkState::Ready);
+          link_down(link);
         }
         break;
       }
@@ -458,15 +493,15 @@ void SocketNetwork::service_links(Loop& loop, TimePoint now) {
         break;
       case LinkState::Connecting:
         if (now - link.connect_started >= hs_timeout) {
-          link_down(loop, link, peer, /*was_ready=*/false);
+          link_down(link);
         }
         break;
       case LinkState::Ready:
         if (link.policy.rx_expired(now)) {
           link.stats.bump(link.stats.peer_downs);
-          link_down(loop, link, peer, /*was_ready=*/true);
+          link_down(link);
         } else if (link.policy.heartbeat_due(now)) {
-          enqueue_frame(loop, link, peer, SharedBytes(), /*heartbeat=*/true);
+          enqueue_frame(link, SharedBytes(), /*heartbeat=*/true);
           link.policy.on_tx(now);
         }
         break;
@@ -528,7 +563,7 @@ void SocketNetwork::on_connect_writable(Loop& loop, Link& link,
   socklen_t len = sizeof(err);
   if (::getsockopt(link.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
       err != 0) {
-    link_down(loop, link, peer, /*was_ready=*/false);
+    link_down(link);
     return;
   }
   link.state = LinkState::Ready;  // established() fills in the rest
@@ -561,9 +596,7 @@ void SocketNetwork::established(Loop& loop, Link& link, ProcessId peer) {
   flush_link(loop, link, peer);
 }
 
-void SocketNetwork::link_down(Loop& loop, Link& link, ProcessId peer,
-                              bool was_ready) {
-  (void)was_ready;
+void SocketNetwork::link_down(Link& link) {
   if (link.fd >= 0) {
     ::close(link.fd);
     link.fd = -1;
@@ -582,8 +615,6 @@ void SocketNetwork::link_down(Loop& loop, Link& link, ProcessId peer,
   if (link.dialer) {
     link.policy.on_connect_failed(now_ticks());
   }
-  (void)loop;
-  (void)peer;
 }
 
 // --- Accept path -------------------------------------------------------------
@@ -729,7 +760,7 @@ void SocketNetwork::link_readable(Loop& loop, Link& link, ProcessId peer) {
     break;
   }
   if (!parse_frames(loop, link, peer)) return;  // link went down in parse
-  if (down) link_down(loop, link, peer, /*was_ready=*/true);
+  if (down) link_down(link);
 }
 
 bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
@@ -741,7 +772,7 @@ bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
       const auto result = Handshake::decode(*frame, hs);
       if (result != Handshake::Result::Ok || hs.sender != peer) {
         link.stats.bump(link.stats.handshake_rejects);
-        link_down(loop, link, peer, /*was_ready=*/true);
+        link_down(link);
         return false;
       }
       link.peer_identified = true;
@@ -753,10 +784,10 @@ bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
     }
     link.stats.bump(link.stats.frames_in);
     deliver(loop, link, peer, *frame);
-    // FIFO contract with ThreadedNetwork: a task the handler just posted
-    // (e.g. SlotMux's deferred apply) runs before the NEXT message is
-    // handled. Sockets batch many frames per readiness round, so without
-    // this drain a deferred window-advance systematically loses the race
+    // FIFO contract: a task the handler just posted (e.g. SlotMux's
+    // deferred apply) runs before the NEXT message is handled. Sockets
+    // batch many frames per readiness round, so without this drain a
+    // deferred window-advance systematically loses the race
     // against the next slot's proposal sitting right behind it in the
     // read buffer — and the engine drops that proposal as beyond-window,
     // stalling the slot until its view-change timeout.
@@ -765,7 +796,7 @@ bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
   }
   if (link.reader.error()) {
     link.stats.bump(link.stats.decode_errors);
-    link_down(loop, link, peer, /*was_ready=*/true);
+    link_down(link);
     return false;
   }
   return true;
@@ -836,7 +867,12 @@ void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
       // Fully written entries would have been popped; nothing sendable.
       break;
     }
-    const ssize_t written = ::writev(link.fd, iov, static_cast<int>(niov));
+    // writev with MSG_NOSIGNAL: a peer that closed must not SIGPIPE the
+    // process (replicas sharing a process crash and restart separately).
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    const ssize_t written = ::sendmsg(link.fd, &msg, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!link.want_writable) {
@@ -845,7 +881,7 @@ void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
         }
         return;
       }
-      link_down(loop, link, peer, /*was_ready=*/true);
+      link_down(link);
       return;
     }
     link.stats.bump(link.stats.writev_calls);

@@ -20,13 +20,16 @@
 #include "net/transport.hpp"
 
 /// \file socket_network.hpp
-/// Real TCP transport: the multi-process sibling of ThreadedNetwork.
-/// Each locally attached endpoint gets one epoll readiness-loop thread
-/// that owns its sockets, timers, tasks and receive handler — the same
-/// single-threaded-replica discipline and the same surface
-/// (attach/endpoint/post/arm_timer/cancel_timer/now_ticks), so
-/// engine::BasicThreadedHost, SmrNode, smr::ClientSession, sharding,
+/// Real TCP transport: the one wall-clock runtime's network. Each locally
+/// attached endpoint gets one epoll readiness-loop thread that owns its
+/// sockets, timers, tasks and receive handler — the single-threaded-
+/// replica discipline the engine relies on — behind the
+/// attach/endpoint/post/arm_timer/cancel_timer/now_ticks surface that
+/// engine::SocketHost adapts, so SmrNode, smr::ClientSession, sharding,
 /// snapshots and the adaptive controller run over sockets unchanged.
+/// Replicas may share a process (runtime::SocketSmrCluster) or each own
+/// one (smr_server); either way every replica-to-replica message crosses
+/// a TCP connection.
 ///
 /// Wire protocol: length-prefixed frames (net/frame.hpp) with a
 /// magic+version+ProcessId handshake opening each direction; empty frames
@@ -50,8 +53,9 @@
 ///
 /// Unit tests never touch this file (morphling idiom): framing, backoff
 /// and heartbeat policy are tested in memory (tests/test_frame.cpp);
-/// sockets enter only via the integration test (tests/test_socket_transport),
-/// the smr_server/smr_client tools and bench E15.
+/// sockets enter via the integration tests (tests/test_socket_transport,
+/// tests/test_socket_smr and every wall-clock service test), the
+/// smr_server/smr_client tools and the wall-clock benches.
 
 namespace fastbft::net {
 
@@ -78,13 +82,23 @@ struct SocketPeer {
   std::uint16_t port = 0;
 
   /// An already-bound, already-listening fd to adopt instead of binding
-  /// host:port (meaningful only for ids local to this process). This is
-  /// how the fork-based bench hands children port-0 listeners the parent
-  /// pre-bound, so nobody races on port numbers.
+  /// host:port (meaningful only for ids attached locally, which then own
+  /// it: stop() closes it, started or not). This is how pre-bound port-0
+  /// listeners reach their replicas, so nobody races on port numbers.
   int adopted_listen_fd = -1;
 
   bool listens() const { return port != 0 || adopted_listen_fd >= 0; }
 };
+
+/// A loopback listener bound ahead of any SocketNetwork: port 0 lets the
+/// kernel pick a free port (hand the fd over as
+/// SocketPeer::adopted_listen_fd and publish the port), a nonzero port
+/// rebinds a recorded one. fd is -1 when binding failed.
+struct LoopbackListener {
+  int fd = -1;
+  std::uint16_t port = 0;
+};
+LoopbackListener bind_loopback_listener(std::uint16_t port = 0);
 
 struct SocketNetworkConfig {
   /// Replica cluster size (broadcast scope); ids [0, cluster_size) are
@@ -109,12 +123,11 @@ struct SocketNetworkConfig {
   std::size_t max_queued_frames = 65536;
 
   /// Emulated one-way link latency: frames sit in the send queue until
-  /// they are this old (microseconds). 0 = send immediately. This is the
-  /// socket counterpart of the threaded bench's artificial link delay —
-  /// loopback RTTs are so far below real network RTTs that pipelining
-  /// effects vanish into scheduler noise without it. Delay costs no CPU:
-  /// held frames just extend the epoll timeout, and a whole RTT's worth
-  /// still leaves in one writev.
+  /// they are this old (microseconds). 0 = send immediately. Loopback
+  /// RTTs are so far below real network RTTs that pipelining effects
+  /// vanish into scheduler noise without it. Delay costs no CPU: held
+  /// frames just extend the (microsecond-precision) epoll timeout, and a
+  /// whole RTT's worth still leaves in one writev.
   Duration tx_delay_us = 0;
 
   LinkPolicyOptions link;
@@ -155,16 +168,17 @@ class SocketNetwork {
   /// timers. Thread-safe; tasks run in post order.
   void post(ProcessId id, std::function<void()> fn);
 
-  /// Microseconds since construction (same tick unit as ThreadedNetwork).
+  /// Microseconds since construction (engine::SocketHost's tick unit).
   TimePoint now_ticks() const;
 
-  /// Same-thread timer contract as ThreadedNetwork::arm_timer (asserted).
+  /// Timers may be armed/cancelled only on `id`'s loop thread, or while
+  /// no loop runs (setup/teardown) — asserted in invariant builds.
   TimerKey arm_timer(ProcessId id, TimePoint at_ticks,
                      std::function<void()> fn);
   void cancel_timer(ProcessId id, TimerKey key);
 
-  /// Same contract query as ThreadedNetwork::affinity_ok — what
-  /// engine::SocketHost reports to the engine's affinity checks.
+  /// The contract query engine::SocketHost reports to the engine's
+  /// affinity checks: on `id`'s loop thread, or no loop bound.
   bool affinity_ok(ProcessId id) const {
     const auto& guard = loop_of(id)->guard;
     return !guard.bound() || guard.held();
@@ -177,10 +191,6 @@ class SocketNetwork {
 
   std::uint64_t delivered_count() const { return delivered_.load(); }
   std::uint64_t timers_fired() const { return timers_fired_.load(); }
-
-  /// Actual listening port of a local id (after start()); 0 if `id` does
-  /// not listen. Lets callers bind port 0 and publish the real port.
-  std::uint16_t listen_port(ProcessId id) const;
 
   /// Counters for the link local `id` keeps toward `peer` (zeroes if no
   /// such link). Thread-safe.
@@ -275,15 +285,14 @@ class SocketNetwork {
   void start_connect(Loop& loop, Link& link, ProcessId peer, TimePoint now);
   void on_connect_writable(Loop& loop, Link& link, ProcessId peer);
   void established(Loop& loop, Link& link, ProcessId peer);
-  void link_down(Loop& loop, Link& link, ProcessId peer, bool was_ready);
+  void link_down(Link& link);
   void accept_ready(Loop& loop);
   void pending_readable(Loop& loop, std::size_t slot);
   void adopt_pending(Loop& loop, std::size_t slot, const Handshake& hs);
   void drop_pending(Loop& loop, std::size_t slot);
   void link_readable(Loop& loop, Link& link, ProcessId peer);
   bool parse_frames(Loop& loop, Link& link, ProcessId peer);
-  void enqueue_frame(Loop& loop, Link& link, ProcessId peer,
-                     SharedBytes payload, bool heartbeat);
+  void enqueue_frame(Link& link, SharedBytes payload, bool heartbeat);
   void flush_link(Loop& loop, Link& link, ProcessId peer);
   void deliver(Loop& loop, Link& link, ProcessId from, ByteView frame);
   void send_on_loop(Loop& loop, ProcessId to, SharedBytes payload);
@@ -301,7 +310,6 @@ class SocketNetwork {
   bool started_ = false;
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> timers_fired_{0};
-  std::vector<std::uint16_t> listen_ports_;
 };
 
 }  // namespace fastbft::net

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,17 +17,14 @@
 #include "smr/smr_node.hpp"
 
 /// \file socket_smr.hpp
-/// Multi-process SMR runtime over net::SocketNetwork: one SocketSmrServer
-/// hosts ONE replica in the calling process; one SocketSmrClient hosts K
-/// client sessions. Every process derives identical key material from the
-/// shared `key_seed` (crypto::KeyStore is deterministic), so signatures
-/// verify across process boundaries without any key exchange.
-///
-/// This mirrors runtime::ThreadedSmrCluster's wiring exactly — same
-/// EngineContext, same seeding order (node->start() before net.start(),
-/// while no loop thread runs), same commit-callback accounting — the only
-/// difference is that the transport's other endpoints live in other
-/// OS processes. Used by tools/smr_server, tools/smr_client and bench E15.
+/// The wall-clock SMR runtime over net::SocketNetwork: one SocketSmrServer
+/// hosts ONE replica; one SocketSmrClient hosts K client sessions. Each
+/// owns its own SocketNetwork, so every message between them crosses a
+/// loopback (or real) TCP connection whether they share a process
+/// (runtime::SocketSmrCluster, smr::make_socket_service) or not
+/// (tools/smr_server, tools/smr_client, bench E15). Every endpoint derives
+/// identical key material from the shared `key_seed` (crypto::KeyStore is
+/// deterministic), so signatures verify without any key exchange.
 
 namespace fastbft::runtime {
 
@@ -47,10 +47,13 @@ struct SocketClusterConfig {
   Duration tx_delay_us = 0;
 };
 
-/// One replica process.
+/// One replica.
 class SocketSmrServer {
  public:
-  SocketSmrServer(SocketClusterConfig config, ProcessId id);
+  /// `on_commit` (optional) observes every applied slot, on the loop
+  /// thread, after the server's own accounting.
+  SocketSmrServer(SocketClusterConfig config, ProcessId id,
+                  smr::SmrNode::CommitCallback on_commit = {});
   ~SocketSmrServer();
 
   SocketSmrServer(const SocketSmrServer&) = delete;
@@ -61,8 +64,9 @@ class SocketSmrServer {
 
   ProcessId id() const { return id_; }
 
-  /// Commands applied by this replica (all groups; thread-safe).
-  std::uint64_t applied_commands() const { return applied_.load(); }
+  /// Commands applied by this replica (all groups, snapshot installs
+  /// included; thread-safe).
+  std::uint64_t applied_commands() const;
   std::uint64_t snapshots_installed() const {
     return snapshot_installs_.load();
   }
@@ -73,9 +77,15 @@ class SocketSmrServer {
   }
 
   net::SocketCounters socket_stats() const { return net_.stats(); }
+  const net::SocketNetwork& network() const { return net_; }
 
   /// The SIGTERM dump: per-link socket counters plus engine gauges.
   std::string stats_summary() const;
+
+  /// The replica itself (engine window, catch-up, KV store): only while
+  /// its loop thread is not running — before start() or after stop().
+  smr::SmrNode& node() { return *node_; }
+  const smr::SmrNode& node() const { return *node_; }
 
  private:
   SocketClusterConfig config_;
@@ -85,7 +95,9 @@ class SocketSmrServer {
   consensus::LeaderFn leader_of_;
   std::unique_ptr<engine::SocketHost> host_;
   std::unique_ptr<smr::SmrNode> node_;
-  std::atomic<std::uint64_t> applied_{0};
+  /// Applied commands per consensus group: a snapshot install replaces
+  /// one group's count, not the node's.
+  std::vector<std::atomic<std::uint64_t>> applied_;
   std::atomic<std::uint64_t> snapshot_installs_{0};
   bool started_ = false;
 };
@@ -100,11 +112,15 @@ struct SocketClientOptions {
   Duration request_timeout_us = 100'000;
   Duration request_deadline_us = 0;
   std::uint32_t max_in_flight = 8;
+  /// Session with endpoint id `pid` starts at gateway
+  /// (first_gateway + pid) % n.
+  ProcessId first_gateway = 0;
+  std::uint32_t gateway_strike_limit = 3;
 };
 
 /// One client process hosting K sessions, each with its own endpoint id,
-/// socket loop thread and engine host (same shape as smr::Service's
-/// threaded mode). Typed ops on session(k) are thread-safe.
+/// socket loop thread and engine host. Typed ops on session(k) are
+/// thread-safe.
 class SocketSmrClient {
  public:
   SocketSmrClient(SocketClusterConfig config, SocketClientOptions options);
@@ -138,8 +154,88 @@ class SocketSmrClient {
   bool started_ = false;
 };
 
-/// Builds the SocketNetworkConfig shared by both runtimes.
-net::SocketNetworkConfig make_socket_net_config(
-    const SocketClusterConfig& config);
+/// The whole replica set inside the calling process: n SocketSmrServers,
+/// each with its own SocketNetwork and a loopback listener pre-bound on a
+/// kernel-chosen port, so every consensus message crosses a real TCP
+/// connection — what smr_server ships, minus the process boundary. The
+/// wall-clock tests and benches and smr::make_socket_service run on it.
+///
+/// crash(id) stops that server (its sockets close; peers retry with
+/// backoff). restart(id) starts a fresh server with empty volatile state
+/// on the same port, which recovers through the protocol's own catch-up
+/// and snapshot state transfer (docs/CATCHUP.md).
+///
+/// One driver thread calls everything here. server(id).node() and
+/// correct_stores_agree() are valid only while that replica's loop does
+/// not run: before start(), after stop(), or after crash().
+class SocketSmrCluster {
+ public:
+  /// `config.peers` is filled in here: one pre-bound loopback listener
+  /// per replica, then `config.num_clients` dial-only client entries.
+  explicit SocketSmrCluster(SocketClusterConfig config);
+  ~SocketSmrCluster();
+
+  SocketSmrCluster(const SocketSmrCluster&) = delete;
+  SocketSmrCluster& operator=(const SocketSmrCluster&) = delete;
+
+  /// The shared topology with the real ports: build SocketSmrClients
+  /// (first_client_id >= n) from it.
+  const SocketClusterConfig& config() const { return config_; }
+
+  /// Seeds every live replica's slot windows and starts its loop.
+  void start();
+
+  /// Stops every replica. Safe to call twice.
+  void stop();
+
+  /// Fail-stop, before or mid-run. Before start() the replica never runs
+  /// and its listener closes, so peers' dials are refused from the start.
+  void crash(ProcessId id);
+
+  /// Mid-run crash-recovery of a crashed replica: a fresh server on the
+  /// same port. Its applied count and slot order restart from zero.
+  void restart(ProcessId id);
+
+  /// Before start(): injected into every replica's pending queue, so the
+  /// first window's proposals already carry real batches. After: sent as
+  /// an SMR_REQUEST broadcast from `gateway` (dropped if it crashed).
+  void submit(const smr::Command& cmd, ProcessId gateway = 0);
+
+  /// Blocks until every non-crashed replica applied >= `commands`
+  /// commands, or the timeout elapses.
+  bool wait_applied(std::uint64_t commands,
+                    std::chrono::milliseconds timeout);
+
+  /// Replica `id`'s current incarnation.
+  SocketSmrServer& server(ProcessId id) { return *servers_[id]; }
+  const SocketSmrServer& server(ProcessId id) const { return *servers_[id]; }
+  bool is_faulty(ProcessId id) const { return faulty_[id]; }
+
+  /// Slots in the order replica `id` applied them in `group` (in-order
+  /// apply holds iff this is 1, 2, 3, ... — or starts later after a
+  /// snapshot install).
+  std::vector<Slot> applied_slots(ProcessId id, GroupId group = 0) const;
+
+  /// Sums over the replicas' networks (current incarnations).
+  std::uint64_t delivered_messages() const;
+  net::SocketCounters socket_stats() const;
+
+  /// True iff every correct replica's state digest is identical; only
+  /// after stop().
+  bool correct_stores_agree() const;
+
+ private:
+  std::unique_ptr<SocketSmrServer> make_server(ProcessId id, int listen_fd);
+
+  SocketClusterConfig config_;
+  std::vector<std::unique_ptr<SocketSmrServer>> servers_;
+  std::vector<bool> faulty_;
+
+  mutable std::mutex mutex_;
+  std::condition_variable applied_cv_;
+  std::vector<std::vector<std::vector<Slot>>> applied_slots_;  // [id][group]
+  bool started_ = false;
+  bool stopped_ = false;
+};
 
 }  // namespace fastbft::runtime

@@ -24,7 +24,7 @@ namespace fastbft::sim {
 /// that minted it — the simulator thread for sim runs, the process's
 /// delivery thread for wall-clock hosts. Cross-thread cancellation is a
 /// data race by construction; hosts assert the contract at their service
-/// boundary (see net::ThreadedNetwork::arm_timer).
+/// boundary (see net::SocketNetwork::arm_timer).
 class TimerHandle {
  public:
   TimerHandle() = default;
@@ -34,7 +34,7 @@ class TimerHandle {
       *cancelled_ = true;
       // Eager-drop hook: lets the minting service free the timer's slot
       // immediately instead of waiting for the dead entry to reach its
-      // deadline (engine::TimerWheel, threaded inbox timer queues).
+      // deadline (engine::TimerWheel, socket loop timer maps).
       if (on_cancel_) on_cancel_();
     }
     on_cancel_ = nullptr;

@@ -19,7 +19,7 @@
 ///    it already has). Works identically on both hosts; fn runs on the
 ///    completing thread (the session's host thread).
 ///  * blocking — wait_for()/value() block the calling thread. Only
-///    meaningful on the threaded runtime; on the single-threaded simulator
+///    meaningful on the socket runtime; on the single-threaded simulator
 ///    nothing can complete a future while the driver blocks, so drive the
 ///    scheduler instead (Service::run_until) and then read value().
 

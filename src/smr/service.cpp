@@ -4,9 +4,8 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "engine/threaded_host.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/threaded_smr_cluster.hpp"
+#include "runtime/socket_smr.hpp"
 
 namespace fastbft::smr {
 
@@ -15,9 +14,9 @@ namespace {
 /// Runtime-appropriate request timeouts when the config leaves 0: a
 /// healthy request completes in a handful of message delays; the timeout
 /// must also ride out one view change of a stalled slot before failing
-/// over (simulator base_timeout 1200 ticks / threaded 25 ms).
-constexpr Duration kSimDefaultRequestTimeout = 6'000;        // ticks
-constexpr Duration kThreadedDefaultRequestTimeout = 100'000; // µs
+/// over (simulator base_timeout 1200 ticks / socket runtime 25 ms).
+constexpr Duration kSimDefaultRequestTimeout = 6'000;      // ticks
+constexpr Duration kSocketDefaultRequestTimeout = 100'000; // µs
 
 SessionConfig make_session_config(const ServiceConfig& config,
                                   std::uint32_t index, Duration timeout,
@@ -154,55 +153,57 @@ class SimService final : public Service {
   std::vector<std::unique_ptr<ClientSession>> sessions_;
 };
 
-// --- Threaded backend --------------------------------------------------------
+// --- Socket backend ----------------------------------------------------------
 
-class ThreadedService final : public Service {
+class SocketService final : public Service {
  public:
-  explicit ThreadedService(ServiceConfig config)
-      : config_(std::move(config)) {
-    const auto& cfg = config_.cluster;
+  explicit SocketService(const ServiceConfig& config) {
+    const auto& cfg = config.cluster;
     FASTBFT_ASSERT(cfg.satisfies_bound(), "invalid quorum config");
-    FASTBFT_ASSERT(config_.num_sessions >= 1, "a service needs sessions");
-    FASTBFT_ASSERT(!config_.tune_replica,
-                   "tune_replica is simulator-only (chaos harness)");
+    FASTBFT_ASSERT(config.num_sessions >= 1, "a service needs sessions");
+    FASTBFT_ASSERT(!config.tune_replica && !config.unsafe_first_reply_quorum,
+                   "tune_replica and unsafe_first_reply_quorum are "
+                   "simulator-only (chaos harness)");
 
-    runtime::ThreadedSmrClusterOptions options;
-    options.smr = make_smr_options(config_);
-    options.link_delay = config_.link_delay;
-    options.sync_base_timeout_us = config_.sync_base_timeout_us;
-    options.num_clients = config_.num_sessions;
-    options.key_seed = config_.key_seed;
-    cluster_ = std::make_unique<runtime::ThreadedSmrCluster>(cfg, options);
+    runtime::SocketClusterConfig cluster_config;
+    cluster_config.cfg = cfg;
+    cluster_config.num_clients = config.num_sessions;
+    cluster_config.key_seed = config.key_seed;
+    cluster_config.sync_base_timeout_us = config.sync_base_timeout_us;
+    cluster_config.smr = make_smr_options(config);
+    cluster_config.tx_delay_us = config.link_delay.count();
+    cluster_ = std::make_unique<runtime::SocketSmrCluster>(cluster_config);
 
-    Duration timeout = config_.request_timeout != 0
-                           ? config_.request_timeout
-                           : kThreadedDefaultRequestTimeout;
-    for (std::uint32_t k = 0; k < config_.num_sessions; ++k) {
-      ProcessId pid = cfg.n + k;
-      hosts_.push_back(
-          std::make_unique<engine::ThreadedHost>(cluster_->net(), pid));
-      auto session = std::make_unique<ClientSession>(
-          *hosts_.back(), cluster_->net().endpoint(pid),
-          make_session_config(config_, k, timeout, cluster_->keys()));
-      cluster_->net().attach(
-          pid, [s = session.get()](ProcessId from, const Bytes& payload) {
-            s->on_message(from, payload);
-          });
-      sessions_.push_back(std::move(session));
-    }
+    runtime::SocketClientOptions options;
+    options.first_client_id = cfg.n;
+    options.sessions = config.num_sessions;
+    options.num_shards = std::max(1u, config.smr.num_groups);
+    options.request_timeout_us = config.request_timeout != 0
+                                     ? config.request_timeout
+                                     : kSocketDefaultRequestTimeout;
+    options.request_deadline_us = config.request_deadline;
+    options.max_in_flight = config.max_in_flight;
+    options.first_gateway = config.first_gateway;
+    options.gateway_strike_limit = config.gateway_strike_limit;
+    client_ = std::make_unique<runtime::SocketSmrClient>(cluster_->config(),
+                                                         options);
   }
 
-  ~ThreadedService() override { stop(); }
+  ~SocketService() override { stop(); }
 
-  void start() override { cluster_->start(); }
-  void stop() override { cluster_->stop(); }
+  void start() override {
+    cluster_->start();
+    client_->start();
+  }
+  void stop() override {
+    client_->stop();
+    cluster_->stop();
+  }
 
   ClientSession& session(std::uint32_t index) override {
-    return *sessions_.at(index);
+    return client_->session(index);
   }
-  std::uint32_t num_sessions() const override {
-    return static_cast<std::uint32_t>(sessions_.size());
-  }
+  std::uint32_t num_sessions() const override { return client_->sessions(); }
 
   void crash(ProcessId replica) override { cluster_->crash(replica); }
   void restart(ProcessId replica) override { cluster_->restart(replica); }
@@ -218,15 +219,15 @@ class ThreadedService final : public Service {
   }
 
   const consensus::QuorumConfig& quorum() const override {
-    return cluster_->config();
+    return cluster_->config().cfg;
   }
 
   std::uint64_t applied_commands(ProcessId replica) const override {
-    return cluster_->applied_commands(replica);
+    return cluster_->server(replica).applied_commands();
   }
 
   SmrNode::EngineStats engine_stats(ProcessId replica) const override {
-    return cluster_->engine_stats(replica);
+    return cluster_->server(replica).engine_stats();
   }
 
   bool is_faulty(ProcessId replica) const override {
@@ -238,10 +239,8 @@ class ThreadedService final : public Service {
   }
 
  private:
-  ServiceConfig config_;
-  std::unique_ptr<runtime::ThreadedSmrCluster> cluster_;
-  std::vector<std::unique_ptr<engine::ThreadedHost>> hosts_;
-  std::vector<std::unique_ptr<ClientSession>> sessions_;
+  std::unique_ptr<runtime::SocketSmrCluster> cluster_;
+  std::unique_ptr<runtime::SocketSmrClient> client_;
 };
 
 }  // namespace
@@ -250,8 +249,8 @@ std::unique_ptr<Service> make_sim_service(const ServiceConfig& config) {
   return std::make_unique<SimService>(config);
 }
 
-std::unique_ptr<Service> make_threaded_service(const ServiceConfig& config) {
-  return std::make_unique<ThreadedService>(config);
+std::unique_ptr<Service> make_socket_service(const ServiceConfig& config) {
+  return std::make_unique<SocketService>(config);
 }
 
 }  // namespace fastbft::smr

@@ -20,9 +20,10 @@
 /// substrate:
 ///  * make_sim_service — the deterministic simulator (runtime::Cluster).
 ///    Drive progress with run_until; simulated time, reproducible runs.
-///  * make_threaded_service — real OS threads and wall-clock time
-///    (runtime::ThreadedSmrCluster). Futures are blockable; run_until
-///    polls.
+///  * make_socket_service — wall-clock time over loopback TCP: n
+///    in-process replicas (runtime::SocketSmrCluster) and one
+///    runtime::SocketSmrClient hosting the sessions. Futures are
+///    blockable; run_until polls.
 ///
 /// Lifecycle: configure -> construct (sessions exist immediately) ->
 /// start() -> submit through sessions / crash() / restart() -> stop().
@@ -77,7 +78,8 @@ struct ServiceConfig {
   /// Simulator runtime only: network model (Delta, jitter, seed).
   net::SimNetworkConfig sim_net;
 
-  /// Threaded runtime only: LAN model + wall-clock view-change timeout.
+  /// Socket runtime only: emulated one-way link latency
+  /// (SocketNetworkConfig::tx_delay_us) + wall-clock view-change timeout.
   std::chrono::microseconds link_delay{0};
   Duration sync_base_timeout_us = 25'000;
 
@@ -176,7 +178,7 @@ class Service {
   /// construction; nothing executes until start().
   virtual void start() = 0;
 
-  /// Shuts the cluster down (joins threads on the threaded runtime).
+  /// Shuts the cluster down (joins loop threads on the socket runtime).
   /// Store introspection (stores_agree) is safe after this.
   virtual void stop() = 0;
 
@@ -190,7 +192,7 @@ class Service {
 
   /// Drives the service until done() returns true or ~`budget` elapses;
   /// returns done()'s final verdict. On the simulator this steps the
-  /// scheduler (1 ms of budget = 1000 simulated ticks); on the threaded
+  /// scheduler (1 ms of budget = 1000 simulated ticks); on the socket
   /// runtime it polls wall-clock. done() must be safe to call from the
   /// driving thread.
   virtual bool run_until(std::function<bool()> done,
@@ -235,12 +237,12 @@ class Service {
         budget);
   }
 
-  /// True iff every correct replica's KV store digest matches. Threaded
+  /// True iff every correct replica's KV store digest matches. Socket
   /// runtime: only valid after stop().
   virtual bool stores_agree() const = 0;
 
   /// Simulator runtime only: the underlying SimNetwork (fault hooks,
-  /// observers, scheduler). nullptr on the threaded runtime — the chaos
+  /// observers, scheduler). nullptr on the socket runtime — the chaos
   /// harness (src/chaos) requires a sim service and checks this.
   virtual net::SimNetwork* sim_network() { return nullptr; }
 };
@@ -248,7 +250,7 @@ class Service {
 /// Deterministic-simulator service.
 std::unique_ptr<Service> make_sim_service(const ServiceConfig& config);
 
-/// Real-threads, wall-clock service.
-std::unique_ptr<Service> make_threaded_service(const ServiceConfig& config);
+/// Wall-clock service over loopback TCP sockets.
+std::unique_ptr<Service> make_socket_service(const ServiceConfig& config);
 
 }  // namespace fastbft::smr

@@ -39,8 +39,8 @@
 ///    completions free the window.
 ///
 /// Threading: the session lives on its Host's logical thread (the cluster
-/// scheduler on the simulator, the client endpoint's delivery thread on
-/// the threaded runtime). The typed ops are callable from any thread —
+/// scheduler on the simulator, the client endpoint's loop thread on the
+/// socket runtime). The typed ops are callable from any thread —
 /// they post to the host — and the returned futures are thread-safe; all
 /// other methods run on the host thread (on_message is invoked by the
 /// network, stats reads are atomic).
@@ -63,7 +63,7 @@ struct SessionConfig {
   std::uint32_t num_shards = 1;
 
   /// Per-request completion timeout in host ticks (simulator ticks / µs
-  /// on the threaded host); on expiry the request fails over to the next
+  /// on the socket host); on expiry the request fails over to the next
   /// gateway and the timer re-arms. Retries continue until completion —
   /// the driver bounds the wait, the protocol guarantees at-most-once.
   Duration request_timeout = 4000;

@@ -35,8 +35,8 @@
 /// The shell is host-agnostic like the engine underneath it: the
 /// ProcessContext constructor runs it on the deterministic simulator
 /// (owning a SimHost), while the Host constructor runs the identical code
-/// over any execution context — runtime::ThreadedSmrCluster uses it with
-/// a wall-clock ThreadedHost per delivery thread.
+/// over any execution context — runtime::SocketSmrServer uses it with a
+/// wall-clock engine::SocketHost on its socket loop thread.
 ///
 /// Wire protocol:
 ///  * Requests reach every replica as SMR_REQUEST; whichever process leads
@@ -126,8 +126,8 @@ struct SmrOptions {
   engine::AdaptiveOptions adaptive;
 
   /// Client endpoints attached to the network beyond the n replicas
-  /// (ids n .. n + num_clients - 1; see net::SimNetwork /
-  /// net::ThreadedNetwork extra_endpoints). When nonzero, the node acts
+  /// (ids n .. n + num_clients - 1; see net::SimNetwork extra_endpoints
+  /// and runtime::SocketClusterConfig). When nonzero, the node acts
   /// as a client-facing service replica: SMR_REQUESTs arriving FROM a
   /// client endpoint are forwarded to the whole cluster (the gateway
   /// role), and every applied command whose client_id names a client

@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <functional>
+#include <string>
+#include <vector>
 
-#include "net/threaded_network.hpp"
 #include "smr/service.hpp"
 
 /// The unified client API (smr::Service + smr::ClientSession), exercised
 /// through the SAME test body on both runtimes: the deterministic
-/// simulator and real OS threads. This is the point of the facade — the
+/// simulator and the wall-clock socket runtime (in-process replicas over
+/// loopback TCP). This is the point of the facade — the
 /// session code (typed ops, f+1 signed-reply quorum, per-request
 /// timers/failover, windowed backpressure, at-most-once retries) is
 /// host-agnostic, so one scenario must pass unchanged on both.
@@ -19,27 +20,48 @@ namespace {
 
 using namespace std::chrono_literals;
 
-enum class Backend { kSim, kThreaded };
+enum class Backend { kSim, kSocket };
 
 std::unique_ptr<Service> make_service(Backend backend,
                                       const ServiceConfig& config) {
   return backend == Backend::kSim ? make_sim_service(config)
-                                  : make_threaded_service(config);
+                                  : make_socket_service(config);
 }
 
 class ServiceApi : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(BothRuntimes, ServiceApi,
-                         ::testing::Values(Backend::kSim, Backend::kThreaded),
+                         ::testing::Values(Backend::kSim, Backend::kSocket),
                          [](const auto& info) {
                            return info.param == Backend::kSim ? "Sim"
-                                                              : "Threaded";
+                                                              : "Socket";
                          });
 
 /// Awaits a future with a generous budget and returns the reply.
 Reply must_complete(Service& service, Future<Reply> future) {
   EXPECT_TRUE(service.await(future, 20'000ms)) << "request never completed";
   return future.value();
+}
+
+/// run_until that keeps one put from session 0 in flight while it waits:
+/// the socket runtime opens slots on demand (idle replicas run no noop
+/// slots), so the adaptive controller sees decisions only while requests
+/// flow. Returns with no trickle put outstanding.
+bool run_with_trickle(Service& service, const std::function<bool()>& done,
+                      std::chrono::milliseconds budget) {
+  ClientSession& session = service.session(0);
+  Future<Reply> trickle = session.put("trickle", "0");
+  int next = 1;
+  const bool reached = service.run_until(
+      [&] {
+        if (trickle.ready()) {
+          trickle = session.put("trickle", std::to_string(next++));
+        }
+        return done();
+      },
+      budget);
+  EXPECT_TRUE(service.await(trickle, 20'000ms)) << "trickle put stalled";
+  return reached;
 }
 
 TEST_P(ServiceApi, TypedOpsCompleteWithQuorumVerifiedResults) {
@@ -231,8 +253,7 @@ TEST_P(ServiceApi, AdaptiveDepthGrowsToMaxUnderLightLoad) {
                     .with_adaptive(/*latency_target=*/1'000'000,
                                    /*min_depth=*/1, /*max_depth=*/4)
                     .with_seed(23);
-  // Short windows so growth happens within the test budget (the noop
-  // churn supplies decisions continuously on both runtimes).
+  // Short windows so growth happens within the test budget.
   config.smr.adaptive.window = 2'000;
   auto service = make_service(GetParam(), config);
   service->start();
@@ -241,7 +262,8 @@ TEST_P(ServiceApi, AdaptiveDepthGrowsToMaxUnderLightLoad) {
   Reply put = must_complete(*service, service->session(0).put("k", "v"));
   EXPECT_TRUE(put.result.ok);
 
-  bool grew = service->run_until(
+  bool grew = run_with_trickle(
+      *service,
       [&] {
         for (ProcessId id = 0; id < service->quorum().n; ++id) {
           if (service->engine_stats(id).effective_depth < 4) return false;
@@ -258,7 +280,8 @@ TEST_P(ServiceApi, AdaptiveDepthGrowsToMaxUnderLightLoad) {
 
   Reply read = must_complete(*service, service->session(0).get("k"));
   EXPECT_EQ(read.result.value, "v");
-  EXPECT_TRUE(service->await_applied(2, 20'000ms));
+  EXPECT_TRUE(
+      service->await_applied(service->session(0).completed(), 20'000ms));
   service->stop();
   EXPECT_TRUE(service->stores_agree());
 }
@@ -281,7 +304,8 @@ TEST_P(ServiceApi, AdaptiveBacksOffWhenTargetIsUnattainable) {
   Reply put = must_complete(*service, service->session(0).put("a", "1"));
   EXPECT_TRUE(put.result.ok);
 
-  bool backed_off = service->run_until(
+  bool backed_off = run_with_trickle(
+      *service,
       [&] { return service->engine_stats(0).adaptive_backoffs >= 3; },
       20'000ms);
   EXPECT_TRUE(backed_off) << "unattainable target must keep breaching";
@@ -294,8 +318,52 @@ TEST_P(ServiceApi, AdaptiveBacksOffWhenTargetIsUnattainable) {
   // The throttled service still completes work correctly.
   Reply read = must_complete(*service, service->session(0).get("a"));
   EXPECT_EQ(read.result.value, "1");
-  EXPECT_TRUE(service->await_applied(2, 20'000ms));
+  EXPECT_TRUE(
+      service->await_applied(service->session(0).completed(), 20'000ms));
   service->stop();
+  EXPECT_TRUE(service->stores_agree());
+}
+
+// --- Beyond t faults, from the first slot -------------------------------------
+
+TEST(SocketService, CompletesEveryOpWithTwoReplicasCrashedBeforeStart) {
+  // n = 7, f = 2, t = 1 with two replicas crashed before start(): more
+  // than t processes are silent, so no slot can gather a fast-path quorum
+  // and every decision has to come through the slow path — over real
+  // sockets and the wall clock, from slot 1 on. Their listeners are
+  // closed from the start, so every dial to them is refused.
+  constexpr std::uint64_t kPerSession = 10;
+  auto config = ServiceConfig{}
+                    .with_cluster(7, 2, 1)
+                    .with_sessions(2)
+                    .with_batch(4)
+                    .with_pipeline_depth(2)
+                    .with_seed(41);
+  auto service = make_socket_service(config);
+  service->crash(5);
+  service->crash(6);
+  service->start();
+
+  std::vector<Future<Reply>> futures;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    for (std::uint64_t i = 1; i <= kPerSession; ++i) {
+      futures.push_back(service->session(s).put(
+          "s" + std::to_string(s) + "-k" + std::to_string(i),
+          "v" + std::to_string(i)));
+    }
+  }
+  for (auto& future : futures) {
+    EXPECT_TRUE(must_complete(*service, future).result.ok);
+  }
+  Reply read = must_complete(*service, service->session(1).get("s0-k3"));
+  EXPECT_EQ(read.result.value, "v3");
+
+  EXPECT_TRUE(service->await_applied(2 * kPerSession + 1, 30'000ms));
+  service->stop();
+  for (ProcessId id = 0; id < 5; ++id) {
+    EXPECT_EQ(service->applied_commands(id), 2 * kPerSession + 1)
+        << "p" << id;
+  }
   EXPECT_TRUE(service->stores_agree());
 }
 
@@ -345,36 +413,6 @@ TEST(AdaptiveSimDeterminism, IdenticalRunsProduceIdenticalTrajectories) {
     EXPECT_EQ(first[i].backoffs, second[i].backoffs) << "p" << i;
     EXPECT_EQ(first[i].applied, second[i].applied) << "p" << i;
   }
-}
-
-// --- Envelope pooling (threaded transport) -----------------------------------
-
-TEST(ThreadedNetworkPool, SteadyStateReusesEnvelopeNodes) {
-  // One sender, one receiver, strictly sequential sends: after the first
-  // few deliveries the inbox recycles its retired queue nodes, so the
-  // fresh-allocation count plateaus while reuses track the traffic.
-  net::ThreadedNetwork net(2);
-  std::atomic<std::uint64_t> received{0};
-  net.attach(0, [](ProcessId, const Bytes&) {});
-  net.attach(1, [&](ProcessId, const Bytes&) { received.fetch_add(1); });
-  auto endpoint = net.endpoint(0);
-  net.start();
-
-  const std::uint64_t kMessages = 400;
-  std::uint64_t allocs_before = net::PayloadStats::envelope_allocs();
-  std::uint64_t reuses_before = net::PayloadStats::envelope_reuses();
-  for (std::uint64_t i = 1; i <= kMessages; ++i) {
-    endpoint->send(1, Bytes{0x01});
-    // Sequential: wait for delivery so the node returns to the pool.
-    while (received.load() < i) std::this_thread::yield();
-  }
-  net.stop();
-
-  std::uint64_t allocs = net::PayloadStats::envelope_allocs() - allocs_before;
-  std::uint64_t reuses = net::PayloadStats::envelope_reuses() - reuses_before;
-  EXPECT_EQ(allocs + reuses, kMessages);
-  EXPECT_LE(allocs, 4u) << "steady-state sends must draw from the pool";
-  EXPECT_GE(reuses, kMessages - 4);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "engine/host.hpp"
 #include "net/tags.hpp"
-#include "smr/client.hpp"
+#include "smr/reply.hpp"
+#include "smr/session.hpp"
 #include "smr/smr_node.hpp"
 
 /// SMR layer: command/batch codecs, the KV state machine, and full
@@ -766,98 +768,74 @@ TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
 }
 
 
-// --- Client sessions ----------------------------------------------------------------
+// --- Client session reply quorum ---------------------------------------------
 
-TEST(ClientTest, CompletesAfterFPlusOneReports) {
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.max_batch = 4;
-  smr_options.target_commands = 3;
+/// Captures what a session sends instead of delivering it.
+class CapturingTransport final : public net::Transport {
+ public:
+  CapturingTransport(ProcessId self, std::uint32_t n,
+                     std::vector<std::pair<ProcessId, Bytes>>& sent)
+      : self_(self), n_(n), sent_(sent) {}
+  void send(ProcessId to, SharedBytes payload) override {
+    sent_.emplace_back(to, payload.get());
+  }
+  std::uint32_t cluster_size() const override { return n_; }
+  ProcessId self() const override { return self_; }
 
-  std::vector<SmrNode*> nodes(4, nullptr);
-  runtime::ClusterOptions options = SmrCluster::make_options(cfg, 1);
-  sim::Scheduler* sched = nullptr;
-  std::unique_ptr<Client> client;
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    if (!client) {
-      sched = ctx.scheduler;
-      client = std::make_unique<Client>(7, cfg.f, *ctx.scheduler);
-    }
-    auto node = std::make_unique<SmrNode>(ctx, smr_options,
-                                          client->subscription());
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(4, Value::of_string("-")));
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
-    client->submit(*nodes[0], Command::put("a", "1"));
-    client->submit(*nodes[0], Command::put("b", "2"));
-    client->submit(*nodes[0], Command::del("a"));
-  });
-  cluster.run_until(100'000);
+ private:
+  ProcessId self_;
+  std::uint32_t n_;
+  std::vector<std::pair<ProcessId, Bytes>>& sent_;
+};
 
-  ASSERT_TRUE(client->all_complete());
-  ASSERT_EQ(client->completions().size(), 3u);
-  auto stats = client->latency_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->min, 0);
-  EXPECT_GE(stats->max, stats->median);
-  // Sequences were assigned 1..3 and completed in submission order here.
-  EXPECT_EQ(client->completions()[0].command.key, "a");
-  EXPECT_EQ(client->completions()[2].command.kind, OpKind::Del);
-}
-
-TEST(ClientTest, SingleReportIsNotCompletion) {
+TEST(ClientSessionTest, CompletesOnlyOnFPlusOneMatchingSignedReplies) {
+  // Message-level: the session's only inputs are the SMR_REPLY payloads
+  // fed to on_message, so the f + 1 matching-reply rule is observable
+  // reply by reply. n = 4, f = 1: one valid signed reply is not enough,
+  // and neither are two that disagree; a second MATCHING one completes.
+  constexpr ProcessId kClient = 4;
+  auto keys = std::make_shared<const crypto::KeyStore>(42, 4);
   sim::Scheduler sched;
-  Client client(9, /*f=*/1, sched);
-  Command cmd = Command::put("k", "v");
-  cmd.client_id = 9;
-  cmd.sequence = 1;
+  engine::SimHost host(sched);
+  std::vector<std::pair<ProcessId, Bytes>> sent;
+  SessionConfig config;
+  config.n = 4;
+  config.f = 1;
+  config.keys = keys;
+  ClientSession session(
+      host, std::make_unique<CapturingTransport>(kClient, 4, sent), config);
 
-  // Inject reports directly: one replica reporting is not enough at f = 1.
-  auto subscription = client.subscription();
-  // Simulate a submit without a gateway (register in-flight by hand is not
-  // exposed; go through a throwaway node-less path: the subscription
-  // simply ignores unknown sequences).
-  subscription(0, /*group=*/0, 1, {cmd});
-  EXPECT_TRUE(client.completions().empty());
-  EXPECT_EQ(client.pending(), 0u) << "unknown sequences are ignored";
-}
+  Future<Reply> future = session.put("k", "v");
+  sched.run_until(10);
+  ASSERT_EQ(sent.size(), 1u) << "the put goes to one gateway";
+  EXPECT_EQ(sent[0].first, 0u);
 
-TEST(ClientTest, CompletionSurvivesReplicaCrash) {
-  auto cfg = consensus::QuorumConfig::create(7, 2, 1);
-  SmrOptions smr_options;
-  smr_options.max_batch = 4;
-  smr_options.target_commands = 4;
-
-  std::vector<SmrNode*> nodes(7, nullptr);
-  runtime::ClusterOptions options = SmrCluster::make_options(cfg, 3);
-  std::unique_ptr<Client> client;
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    if (!client) client = std::make_unique<Client>(5, cfg.f, *ctx.scheduler);
-    auto node = std::make_unique<SmrNode>(ctx, smr_options,
-                                          client->subscription());
-    nodes[ctx.id] = node.get();
-    return node;
+  auto reply_from = [&](ProcessId replica, Slot slot) {
+    Reply reply;
+    reply.client_id = kClient;
+    reply.sequence = 1;
+    reply.slot = slot;
+    reply.op = OpKind::Put;
+    return encode_reply_payload(reply, crypto::Signer(keys, replica));
   };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(7, Value::of_string("-")));
-  cluster.crash_at(6, 400);
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
-    for (int i = 0; i < 4; ++i) {
-      client->submit(*nodes[1], Command::put("k" + std::to_string(i), "v"));
-    }
-  });
-  cluster.run_until(2'000'000);
-  EXPECT_TRUE(client->all_complete());
-  EXPECT_EQ(client->completions().size(), 4u);
+
+  session.on_message(0, reply_from(0, /*slot=*/3));
+  EXPECT_FALSE(future.ready()) << "one signed reply is not a quorum";
+  session.on_message(0, reply_from(0, 3));
+  EXPECT_FALSE(future.ready()) << "a repeated reply is still one replica";
+  session.on_message(1, reply_from(1, /*slot=*/4));
+  EXPECT_FALSE(future.ready()) << "two replies that disagree on the slot";
+  // Signed by p2's key but delivered as p3's: rejected, not counted.
+  session.on_message(3, reply_from(2, 3));
+  EXPECT_FALSE(future.ready()) << "a reply with another replica's signature";
+  EXPECT_EQ(session.rejected_replies(), 1u);
+
+  session.on_message(2, reply_from(2, 3));
+  ASSERT_TRUE(future.ready()) << "f + 1 = 2 matching replies complete it";
+  EXPECT_EQ(future.value().slot, 3u);
+  EXPECT_EQ(future.value().op, OpKind::Put);
+  EXPECT_EQ(session.completed(), 1u);
+  EXPECT_EQ(session.in_flight(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -17,16 +18,14 @@
 #include "net/socket_network.hpp"
 #include "runtime/socket_smr.hpp"
 
-/// Integration tests for the TCP socket transport — the ONE test binary
-/// that touches real sockets (everything message-level lives in
-/// tests/test_frame.cpp). Each test stands up separate SocketNetwork
-/// instances inside this process connected only through loopback TCP, so
-/// every delivery crosses a real kernel socket: framing, handshakes,
-/// write coalescing, reconnect, rx-expiry and the zero-copy counters are
-/// all exercised end to end. NOT in the TSan target list (ctest tier 1
-/// only): the multi-network setup is socket-latency bound, and the
-/// transport's threading is already covered by the TSan'd threaded tests
-/// sharing the same host contract.
+/// Integration tests for the TCP socket transport itself (everything
+/// message-level lives in tests/test_frame.cpp). Each test stands up
+/// separate SocketNetwork instances inside this process connected only
+/// through loopback TCP, so every delivery crosses a real kernel socket:
+/// framing, handshakes, write coalescing, reconnect, rx-expiry, emulated
+/// link delay and the zero-copy counters are all exercised end to end.
+/// In CI's TSan target list with the other wall-clock tests
+/// (test_socket_smr, test_service, test_sharding).
 
 namespace fastbft::net {
 namespace {
@@ -45,27 +44,10 @@ bool eventually(const std::function<bool()>& cond,
 }
 
 /// Pre-binds a loopback listener on a kernel-chosen port, so tests never
-/// race on port numbers (the same trick bench E15's parent process uses).
-struct BoundListener {
-  int fd = -1;
-  std::uint16_t port = 0;
-};
-
-BoundListener bind_loopback() {
-  BoundListener out;
-  out.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+/// race on port numbers.
+LoopbackListener bind_loopback() {
+  LoopbackListener out = bind_loopback_listener();
   EXPECT_GE(out.fd, 0);
-  int one = 1;
-  ::setsockopt(out.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::bind(out.fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
-  EXPECT_EQ(::listen(out.fd, 16), 0);
-  EXPECT_EQ(::getsockname(out.fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  out.port = ntohs(addr.sin_port);
   return out;
 }
 
@@ -204,6 +186,67 @@ TEST(SocketTransportTest, DeliveryBufferRecyclesAndWritevCoalesces) {
   a->net->stop();
 }
 
+TEST(SocketTransportTest, EmulatedLinkDelayIsHonouredToTheMicrosecond) {
+  // tx_delay_us = 200 holds every frame 200 µs before it may leave, so a
+  // ping-pong round trip costs ~400 µs plus loopback time. The loop must
+  // wake when the held frame comes due — a wait rounded up to whole
+  // milliseconds turns each hop into >= 1 ms. Both sides answer from
+  // their loop threads and p1 times the round trips there, so no driver
+  // thread wake-up is in the measurement.
+  constexpr std::size_t kRounds = 41;
+  auto listener = bind_loopback();
+  SocketNetworkConfig config;
+  config.cluster_size = 2;
+  config.peers.resize(2);
+  config.peers[0].port = listener.port;
+  config.tx_delay_us = 200;
+
+  SocketNetworkConfig echo_config = config;
+  echo_config.peers[0].adopted_listen_fd = listener.fd;
+  SocketNetwork echo_net(echo_config);
+  auto echo = echo_net.endpoint(0);
+  echo_net.attach(0, [&](ProcessId from, const Bytes& payload) {
+    echo->send(from, SharedBytes(Bytes(payload)));
+  });
+
+  SocketNetwork ping_net(config);
+  auto ping = ping_net.endpoint(1);
+  std::mutex mutex;
+  std::vector<std::int64_t> rtt_us;  // [0] includes connection setup
+  auto sent_at = std::chrono::steady_clock::now();
+  ping_net.attach(1, [&](ProcessId, const Bytes& payload) {
+    const auto now = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lk(mutex);
+    rtt_us.push_back(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - sent_at)
+            .count());
+    if (rtt_us.size() <= kRounds) {
+      sent_at = now;
+      ping->send(0, SharedBytes(Bytes(payload)));
+    }
+  });
+  echo_net.start();
+  ping_net.start();
+  {
+    std::lock_guard<std::mutex> lk(mutex);
+    sent_at = std::chrono::steady_clock::now();
+    ping->send(0, payload_of("ping"));
+  }
+  ASSERT_TRUE(eventually([&] {
+    std::lock_guard<std::mutex> lk(mutex);
+    return rtt_us.size() > kRounds;
+  }));
+  ping_net.stop();
+  echo_net.stop();
+
+  std::vector<std::int64_t> rtts(rtt_us.begin() + 1, rtt_us.end());
+  std::sort(rtts.begin(), rtts.end());
+  const std::int64_t median = rtts[rtts.size() / 2];
+  EXPECT_GE(median, 400) << "both hops must wait out the link delay";
+  EXPECT_LT(median, 1000) << "a 200 us hop woke late: median RTT " << median
+                          << " us";
+}
+
 // --- Timers ------------------------------------------------------------------
 
 TEST(SocketTransportTest, TimersFireInOrderAndCancel) {
@@ -340,11 +383,11 @@ TEST(SocketTransportTest, GarbageHandshakeIsRejected) {
 // --- Full SMR over sockets ---------------------------------------------------
 
 TEST(SocketTransportTest, SmrClusterCommitsOverRealSockets) {
-  // Four SocketSmrServers and one SocketSmrClient inside this process,
-  // each with its OWN SocketNetwork — all consensus and client traffic
-  // crosses loopback TCP, exactly the smr_server/smr_client topology
-  // minus the process boundary (bench E15 and CI's multiprocess smoke
-  // cover the forked version).
+  // Four SocketSmrServers (runtime::SocketSmrCluster) and one
+  // SocketSmrClient inside this process, each with its OWN SocketNetwork —
+  // all consensus and client traffic crosses loopback TCP, exactly the
+  // smr_server/smr_client topology minus the process boundary (bench E15
+  // and CI's multiprocess smoke cover the forked version).
   constexpr std::uint32_t kN = 4;
   constexpr std::uint64_t kOps = 40;
 
@@ -353,27 +396,14 @@ TEST(SocketTransportTest, SmrClusterCommitsOverRealSockets) {
   config.num_clients = 2;
   config.smr.pipeline_depth = 4;
   config.smr.max_batch = 4;
-  config.peers.resize(kN + config.num_clients);
-  std::vector<BoundListener> listeners;
-  for (std::uint32_t id = 0; id < kN; ++id) {
-    listeners.push_back(bind_loopback());
-    config.peers[id].port = listeners[id].port;
-  }
-
-  std::vector<std::unique_ptr<runtime::SocketSmrServer>> servers;
-  for (std::uint32_t id = 0; id < kN; ++id) {
-    runtime::SocketClusterConfig own = config;
-    own.peers[id].adopted_listen_fd = listeners[id].fd;
-    servers.push_back(
-        std::make_unique<runtime::SocketSmrServer>(std::move(own), id));
-    servers.back()->start();
-  }
+  runtime::SocketSmrCluster cluster(config);
+  cluster.start();
 
   runtime::SocketClientOptions options;
   options.first_client_id = kN;
   options.sessions = 2;
   options.max_in_flight = 4;
-  runtime::SocketSmrClient client(config, options);
+  runtime::SocketSmrClient client(cluster.config(), options);
   client.start();
   for (std::uint64_t i = 0; i < kOps; ++i) {
     auto& session = client.session(static_cast<std::uint32_t>(i % 2));
@@ -388,20 +418,13 @@ TEST(SocketTransportTest, SmrClusterCommitsOverRealSockets) {
 
   // Every correct replica applies every command; the transport never
   // dropped or misframed anything along the way.
-  ASSERT_TRUE(eventually([&] {
-    for (const auto& server : servers) {
-      if (server->applied_commands() < kOps) return false;
-    }
-    return true;
-  }));
-  for (const auto& server : servers) {
-    const auto stats = server->socket_stats();
-    EXPECT_EQ(stats.decode_errors, 0u);
-    EXPECT_EQ(stats.frames_dropped, 0u);
-    EXPECT_EQ(stats.handshake_rejects, 0u);
-  }
+  ASSERT_TRUE(cluster.wait_applied(kOps, 5000ms));
+  const auto stats = cluster.socket_stats();
+  EXPECT_EQ(stats.decode_errors, 0u);
+  EXPECT_EQ(stats.frames_dropped, 0u);
+  EXPECT_EQ(stats.handshake_rejects, 0u);
   client.stop();
-  for (auto& server : servers) server->stop();
+  cluster.stop();
 }
 
 }  // namespace
