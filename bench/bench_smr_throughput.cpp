@@ -376,19 +376,12 @@ void snapshot_recovery_sweep() {
     bool survivors_done = cluster.wait_applied(kTotal, seconds(60));
 
     // Rejoin as a state-free fresh process. Without snapshots the pruned
-    // prefix is unrecoverable, so bound the wait instead of hanging. Slots
-    // open on demand, so a trickle of commands keeps the gossip the
-    // rejoiner learns its lag from flowing.
+    // prefix is unrecoverable, so bound the wait instead of hanging.
     auto begin = steady_clock::now();
-    cluster.restart(3);
-    const auto give_up = begin + (interval == 0 ? seconds(3) : seconds(60));
-    bool recovered = false;
-    for (std::uint64_t i = kTotal + 1;
-         survivors_done && steady_clock::now() < give_up; ++i) {
-      recovered = cluster.wait_applied(kTotal, milliseconds(20));
-      if (recovered) break;
-      cluster.submit(put(i), /*gateway=*/0);
-    }
+    bool recovered =
+        cluster.restart(3) && survivors_done &&
+        cluster.wait_applied(kTotal, interval == 0 ? seconds(3)
+                                                   : seconds(60));
     double rejoin_ms = duration_cast<duration<double, std::milli>>(
                            steady_clock::now() - begin)
                            .count();

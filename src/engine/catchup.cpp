@@ -1,6 +1,7 @@
 #include "engine/catchup.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <string>
 
@@ -72,6 +73,18 @@ void CatchUpPolicy::note_watermark(ProcessId peer, Slot applied_below) {
   // Byzantine peer over-reporting only removes itself from the minimum;
   // honest watermarks keep the floor safe).
   raise_floor(min);
+}
+
+Slot CatchUpPolicy::peer_watermark(std::uint32_t rank, ProcessId self) const {
+  std::vector<Slot> peers;
+  peers.reserve(watermarks_.size());
+  for (ProcessId p = 0; p < watermarks_.size(); ++p) {
+    if (p != self) peers.push_back(watermarks_[p]);
+  }
+  if (rank == 0 || rank > peers.size()) return 1;
+  std::nth_element(peers.begin(), peers.begin() + (rank - 1), peers.end(),
+                   std::greater<>());
+  return peers[rank - 1];
 }
 
 void CatchUpPolicy::raise_floor(Slot candidate) {

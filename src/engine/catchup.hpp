@@ -107,6 +107,11 @@ class CatchUpPolicy {
   /// it are pruned.
   void note_watermark(ProcessId peer, Slot applied_below);
 
+  /// The `rank`-th highest watermark among processes other than `self`
+  /// (rank 1 = highest; 1 if there are fewer). With rank f + 1, at least
+  /// one correct process has applied every slot below it.
+  Slot peer_watermark(std::uint32_t rank, ProcessId self) const;
+
   /// Lowest slot whose decided value may still be retained: the maximum of
   /// the cluster-wide watermark minimum and the local snapshot floor.
   /// Slots below it have been pruned.

@@ -82,7 +82,13 @@ void SlotMux::defer_guarded(std::function<void()> fn) {
   });
 }
 
-void SlotMux::start() { fill_window(); }
+void SlotMux::start() {
+  fill_window();
+  // On-demand windows carry no gossip while the cluster idles, so a
+  // replica starting into a running cluster (a restart) would never learn
+  // how far behind it is: ask.
+  if (!options_.eager_windows) request_status();
+}
 
 bool SlotMux::submit(const smr::Command& cmd) {
   if (!pending_.admit(cmd)) return false;
@@ -119,7 +125,13 @@ void SlotMux::fill_window() {
   // adaptive control is on. A backoff does not cancel already-open slots;
   // the window shrinks as they decide and refills at the smaller depth.
   while (!done() && next_start_ < next_apply_ + effective_depth()) {
-    if (!options_.eager_windows && !pending_.has_unclaimed()) break;
+    // On demand, a slot opens for a command to propose or because f + 1
+    // peers report having applied it (catch-up: our instance adopts the
+    // decided value they send, or asks for it after its timeout).
+    if (!options_.eager_windows && !pending_.has_unclaimed() &&
+        next_start_ >= catch_up_target()) {
+      break;
+    }
     if (options_.max_reorder_backlog > 0 &&
         reorder_.size() > options_.max_reorder_backlog) {
       // Congestion clamp: decisions are piling up behind a stalled slot;
@@ -269,7 +281,10 @@ void SlotMux::drain_apply() {
 void SlotMux::maybe_take_snapshot(Slot just_applied) {
   if (options_.snapshot_interval == 0 || !hooks_.state) return;
   if (just_applied % options_.snapshot_interval != 0) return;
+  take_snapshot(just_applied + 1, /*prune_applied_ids=*/true);
+}
 
+void SlotMux::take_snapshot(Slot boundary, bool prune_applied_ids) {
   // Bound the dedup set before exporting it. Honest duplicates of one
   // command land within the live window of each other (a second leader
   // can only claim a command it has not applied yet), so records older
@@ -278,10 +293,16 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   // of the slot boundary, so every replica re-applies such a replay
   // identically and replicas never diverge. This keeps snapshot size
   // proportional to the horizon's command volume, not cluster lifetime.
-  Slot horizon = options_.snapshot_interval + max_window_depth() +
-                 options_.max_reorder_backlog;
-  Slot boundary = just_applied + 1;
-  pending_.prune_applied_before(boundary > horizon ? boundary - horizon : 1);
+  //
+  // Only interval boundaries prune: they are the same on every replica,
+  // while an on-demand snapshot (on_status) is taken by whichever replicas
+  // a laggard asked, and pruning there would make the dedup sets differ.
+  if (prune_applied_ids) {
+    Slot horizon = options_.snapshot_interval + max_window_depth() +
+                   options_.max_reorder_backlog;
+    pending_.prune_applied_before(boundary > horizon ? boundary - horizon
+                                                     : 1);
+  }
 
   smr::Snapshot snap;
   snap.applied_below = boundary;
@@ -321,34 +342,7 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
   ByteView inner = dec.bytes_view();  // aliases payload; no copy
   if (!dec.ok() || !dec.at_end() || slot == 0 || group != ctx_.group) return;
 
-  catchup_.note_watermark(from, watermark);
-
-  // A sender whose snapshot floor passed our apply cursor may have pruned
-  // slots we still need. Request full state immediately only when the
-  // floor is beyond our whole live window — a smaller gap is usually
-  // ordinary pipelining skew (we are about to decide those slots
-  // ourselves), and requesting eagerly would ship the entire state n^2
-  // times per interval in a healthy cluster. But "usually" is not
-  // "always": a stalled laggard inside the window is just as stuck if the
-  // cluster stops opening slots and no later boundary ever widens the
-  // gap. So small gaps arm a one-shot probe instead; it fires after a
-  // couple of view-change timeouts and requests only if the gap is still
-  // there.
-  catchup_.note_peer_snapshot_floor(from, snap_floor);
-  if (snap_floor > next_apply_) {
-    if (snap_floor > next_apply_ + max_window_depth()) {
-      request_snapshots();
-    } else {
-      snap_probe_floor_ = std::max(snap_probe_floor_, snap_floor);
-      if (!snap_probe_armed_) {
-        snap_probe_armed_ = true;
-        timers_.schedule_after(2 * options_.sync.base_timeout, [this] {
-          snap_probe_armed_ = false;
-          if (snap_probe_floor_ > next_apply_) request_snapshots();
-        });
-      }
-    }
-  }
+  note_peer_progress(from, watermark, snap_floor);
 
   if (catchup_.decided(slot) != nullptr) {
     // Traffic for a slot we already decided MAY mark the sender as a
@@ -403,6 +397,38 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
   }
 }
 
+void SlotMux::note_peer_progress(ProcessId from, Slot watermark,
+                                 Slot snap_floor) {
+  catchup_.note_watermark(from, watermark);
+
+  // A sender whose snapshot floor passed our apply cursor may have pruned
+  // slots we still need. Request full state immediately only when the
+  // floor is beyond our whole live window — a smaller gap is usually
+  // ordinary pipelining skew (we are about to decide those slots
+  // ourselves), and requesting eagerly would ship the entire state n^2
+  // times per interval in a healthy cluster. But "usually" is not
+  // "always": a stalled laggard inside the window is just as stuck if the
+  // cluster stops opening slots and no later boundary ever widens the
+  // gap. So small gaps arm a one-shot probe instead; it fires after a
+  // couple of view-change timeouts and requests only if the gap is still
+  // there.
+  catchup_.note_peer_snapshot_floor(from, snap_floor);
+  if (snap_floor > next_apply_) {
+    if (snap_floor > next_apply_ + max_window_depth()) {
+      request_snapshots();
+    } else {
+      snap_probe_floor_ = std::max(snap_probe_floor_, snap_floor);
+      if (!snap_probe_armed_) {
+        snap_probe_armed_ = true;
+        timers_.schedule_after(2 * options_.sync.base_timeout, [this] {
+          snap_probe_armed_ = false;
+          if (snap_probe_floor_ > next_apply_) request_snapshots();
+        });
+      }
+    }
+  }
+}
+
 void SlotMux::on_decided_claim(ProcessId from, ByteView payload) {
   Decoder dec(payload);
   dec.u8();
@@ -448,6 +474,93 @@ void SlotMux::request_snapshots() {
     req.u64(next_apply_);
     transport_.send(peer, std::move(req).take());
   }
+}
+
+Slot SlotMux::catch_up_target() const {
+  return catchup_.peer_watermark(ctx_.cfg.f + 1, ctx_.id);
+}
+
+void SlotMux::send_status(ProcessId to, bool want_reply) {
+  // SMR_STATUS{group, watermark, snapshot floor, want_reply}: the gossip
+  // header of SMR_WRAPPED without a slot, for when no slot traffic flows.
+  Encoder enc(1 + 4 + 8 * 2 + 1);
+  enc.u8(net::tags::kSmrStatus);
+  enc.u32(ctx_.group);
+  enc.u64(next_apply_);
+  enc.u64(catchup_.snapshot_floor());
+  enc.u8(want_reply ? 1 : 0);
+  Bytes msg = std::move(enc).take();
+  if (to == kNoProcess) {
+    transport_.broadcast_others(std::move(msg));
+  } else {
+    transport_.send(to, std::move(msg));
+  }
+}
+
+void SlotMux::request_status() {
+  catching_up_ = true;
+  status_asked_at_ = next_apply_;
+  send_status(kNoProcess, /*want_reply=*/true);
+  if (!status_retry_armed_) arm_status_retry();
+}
+
+void SlotMux::arm_status_retry() {
+  // While f + 1 peers report being ahead, check every couple of
+  // view-change timeouts. Ask again only if nothing was applied since the
+  // last ask: replies can be lost to a crashed peer, fail to agree (peers
+  // caught at different points), or cover one window of a longer gap. A
+  // laggard that is still applying costs one timer and no traffic.
+  status_retry_armed_ = true;
+  timers_.schedule_after(2 * options_.sync.base_timeout, [this] {
+    status_retry_armed_ = false;
+    if (!catching_up_) return;
+    if (catch_up_target() <= next_apply_) {
+      catching_up_ = false;
+    } else if (next_apply_ == status_asked_at_) {
+      request_status();
+    } else {
+      status_asked_at_ = next_apply_;
+      arm_status_retry();
+    }
+  });
+}
+
+void SlotMux::on_status(ProcessId from, ByteView payload) {
+  Decoder dec(payload);
+  dec.u8();
+  GroupId group = dec.u32();
+  Slot watermark = dec.u64();
+  Slot snap_floor = dec.u64();
+  std::uint8_t want_reply = dec.u8();
+  if (!dec.ok() || !dec.at_end() || group != ctx_.group) return;
+  note_peer_progress(from, watermark, snap_floor);
+
+  if (want_reply != 0) {
+    // The asker's missing slots are pruned here and it cannot fetch them
+    // one by one. If we have applied past our latest snapshot, take one
+    // now (correct replicas that applied the same prefix produce the same
+    // snapshot, so f + 1 of them can vouch for it); our reply advertises
+    // the new floor, and the asker fetches it.
+    if (options_.snapshot_interval > 0 && hooks_.state &&
+        watermark < catchup_.prune_floor() &&
+        catchup_.snapshot_floor() < next_apply_) {
+      take_snapshot(next_apply_, /*prune_applied_ids=*/false);
+    }
+    send_status(from, /*want_reply=*/false);
+    // One window of decided values past the asker's cursor; more once it
+    // applied those and asks again (claims past its window are dropped).
+    const Slot first = std::max(watermark, catchup_.prune_floor());
+    const Slot end = std::min<Slot>(next_apply_,
+                                    watermark + max_window_depth());
+    for (Slot s = first; s < end; ++s) {
+      if (auto reply = catchup_.reply_for(s, from)) {
+        transport_.send(from, std::move(*reply));
+      }
+    }
+  }
+  // f + 1 peers past our cursor open the slots we are missing.
+  fill_window();
+  note_inflight();
 }
 
 void SlotMux::on_snapshot_request(ProcessId from, ByteView payload) {
@@ -525,8 +638,10 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   if (hooks_.install) hooks_.install(snap);
 
   // Decisions parked above the boundary may be applicable now, and the
-  // window reopens from the new cursor.
+  // window reopens from the new cursor. The snapshot may be older than
+  // the cluster's head: ask what lies past it.
   drain_apply();
+  if (!options_.eager_windows) request_status();
   fill_window();
   note_inflight();
   replay_parked();

@@ -196,6 +196,11 @@ class SlotMux {
   /// snapshot emerges, install it and jump the apply cursor.
   void on_snapshot_response(ProcessId from, ByteView payload);
 
+  /// Full SMR_STATUS payload: a peer's watermark and snapshot floor, and
+  /// (if it asks) a request for what this engine can tell a laggard — see
+  /// request_status().
+  void on_status(ProcessId from, ByteView payload);
+
   // --- Introspection (shell, tests, benchmarks) -----------------------------
 
   /// Highest slot ever opened (0 before start()).
@@ -329,9 +334,15 @@ class SlotMux {
   void drain_apply();
   void apply_value(Slot slot, const Value& value);
   void maybe_take_snapshot(Slot just_applied);
+  void take_snapshot(Slot boundary, bool prune_applied_ids);
   void install_snapshot(const smr::Snapshot& snap, Bytes body,
                         const crypto::Digest& digest);
   void request_snapshots();
+  void note_peer_progress(ProcessId from, Slot watermark, Slot snap_floor);
+  Slot catch_up_target() const;
+  void request_status();
+  void arm_status_retry();
+  void send_status(ProcessId to, bool want_reply);
   void send_wrapped(Slot slot, ProcessId to, ByteView payload);
   void broadcast_wrapped(Slot slot, ByteView payload, bool include_self);
   void note_inflight();
@@ -389,6 +400,16 @@ class SlotMux {
   /// traffic stops and no new boundary ever widens the gap.
   bool snap_probe_armed_ = false;
   Slot snap_probe_floor_ = 0;
+
+  /// On-demand windows only (eager windows keep gossip, and with it the
+  /// WISH-driven catch-up, flowing). A replica at start() or after a
+  /// snapshot install asks its peers for their status and one window of
+  /// decided values (request_status). `catching_up_` stays set while
+  /// f + 1 peers report applying past our cursor; `status_asked_at_` is
+  /// our cursor at the last ask or retry check.
+  bool catching_up_ = false;
+  bool status_retry_armed_ = false;
+  Slot status_asked_at_ = 0;
 
   /// Liveness flag captured by deferred closures (see defer_guarded).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

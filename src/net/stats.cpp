@@ -99,6 +99,7 @@ std::string tag_name(std::uint8_t tag) {
     case tags::kSmrSnapRequest: return "SNAPSHOT_REQUEST";
     case tags::kSmrSnapResponse: return "SNAPSHOT_RESPONSE";
     case tags::kSmrReply: return "SMR_REPLY";
+    case tags::kSmrStatus: return "SMR_STATUS";
     default: {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "TAG_0x%02x", tag);

@@ -44,7 +44,9 @@ SocketSmrServer::SocketSmrServer(SocketClusterConfig config, ProcessId id,
   smr_options.num_clients = config_.num_clients;
   // On-demand windows: over a wall-clock transport, eager noop slots are
   // not free — they compete with command slots for real CPU (and more
-  // than halved command throughput on a loaded loopback cluster).
+  // than halved command throughput on a loaded loopback cluster). A
+  // replica that falls behind an idle cluster asks for what it missed
+  // with SMR_STATUS instead (docs/CATCHUP.md §5).
   smr_options.eager_windows = false;
 
   host_ = std::make_unique<engine::SocketHost>(net_, id_);
@@ -115,29 +117,37 @@ std::string SocketSmrServer::stats_summary() const {
 
 SocketSmrClient::SocketSmrClient(SocketClusterConfig config,
                                  SocketClientOptions options)
+    : SocketSmrClient(std::move(config), options.first_client_id,
+                      options.sessions, [&options] {
+                        smr::SessionConfig session;
+                        session.num_shards = options.num_shards;
+                        session.request_timeout = options.request_timeout_us;
+                        session.request_deadline = options.request_deadline_us;
+                        session.max_in_flight = options.max_in_flight;
+                        return session;
+                      }()) {}
+
+SocketSmrClient::SocketSmrClient(SocketClusterConfig config,
+                                 ProcessId first_client_id,
+                                 std::uint32_t sessions,
+                                 smr::SessionConfig session)
     : config_(std::move(config)),
-      options_(options),
       net_(make_socket_net_config(config_)),
       keys_(std::make_shared<const crypto::KeyStore>(config_.key_seed,
                                                      config_.cfg.n)) {
-  FASTBFT_ASSERT(options_.first_client_id >= config_.cfg.n,
+  FASTBFT_ASSERT(first_client_id >= config_.cfg.n,
                  "client ids start after the replicas");
-  FASTBFT_ASSERT(options_.first_client_id + options_.sessions <=
+  FASTBFT_ASSERT(first_client_id + sessions <=
                      config_.cfg.n + config_.num_clients,
                  "client ids exceed the cluster's endpoint table");
-  for (std::uint32_t k = 0; k < options_.sessions; ++k) {
-    const ProcessId pid = options_.first_client_id + k;
+  session.n = config_.cfg.n;
+  session.f = config_.cfg.f;
+  session.keys = keys_;
+  for (std::uint32_t k = 0; k < sessions; ++k) {
+    const ProcessId pid = first_client_id + k;
     hosts_.push_back(std::make_unique<engine::SocketHost>(net_, pid));
-    smr::SessionConfig scfg;
-    scfg.n = config_.cfg.n;
-    scfg.f = config_.cfg.f;
-    scfg.first_gateway = (options_.first_gateway + pid) % config_.cfg.n;
-    scfg.num_shards = options_.num_shards;
-    scfg.request_timeout = options_.request_timeout_us;
-    scfg.request_deadline = options_.request_deadline_us;
-    scfg.max_in_flight = options_.max_in_flight;
-    scfg.gateway_strike_limit = options_.gateway_strike_limit;
-    scfg.keys = keys_;
+    smr::SessionConfig scfg = session;
+    scfg.first_gateway = (session.first_gateway + pid) % config_.cfg.n;
     sessions_.push_back(std::make_unique<smr::ClientSession>(
         *hosts_[k], net_.endpoint(pid), scfg));
     net_.attach(pid, [this, k](ProcessId from, const Bytes& payload) {
@@ -225,19 +235,20 @@ void SocketSmrCluster::crash(ProcessId id) {
   servers_[id]->stop();  // closes its listener, started or not
 }
 
-void SocketSmrCluster::restart(ProcessId id) {
+bool SocketSmrCluster::restart(ProcessId id) {
   FASTBFT_ASSERT(id < config_.cfg.n, "restart: id out of range");
   FASTBFT_ASSERT(started_ && !stopped_, "restart: only mid-run");
   FASTBFT_ASSERT(faulty_[id], "restart: replica never crashed");
-  // Peers only know the recorded port. Until a connection's TIME_WAIT
-  // lingers out or an ephemeral dial releases the port, bind may fail.
+  // Peers only know the recorded port. A lingering connection on it may
+  // hold it for a while; a socket that took it as its own local port
+  // holds it for as long as it lives.
   net::LoopbackListener listener;
   for (int attempt = 0; attempt < 200; ++attempt) {
     listener = net::bind_loopback_listener(config_.peers[id].port);
     if (listener.fd >= 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  FASTBFT_ASSERT(listener.fd >= 0, "restart: cannot rebind the replica port");
+  if (listener.fd < 0) return false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& slots : applied_slots_[id]) slots.clear();
@@ -245,6 +256,7 @@ void SocketSmrCluster::restart(ProcessId id) {
   servers_[id] = make_server(id, listener.fd);
   servers_[id]->start();
   faulty_[id] = false;
+  return true;
 }
 
 void SocketSmrCluster::submit(const smr::Command& cmd, ProcessId gateway) {

@@ -112,10 +112,6 @@ struct SocketClientOptions {
   Duration request_timeout_us = 100'000;
   Duration request_deadline_us = 0;
   std::uint32_t max_in_flight = 8;
-  /// Session with endpoint id `pid` starts at gateway
-  /// (first_gateway + pid) % n.
-  ProcessId first_gateway = 0;
-  std::uint32_t gateway_strike_limit = 3;
 };
 
 /// One client process hosting K sessions, each with its own endpoint id,
@@ -124,6 +120,12 @@ struct SocketClientOptions {
 class SocketSmrClient {
  public:
   SocketSmrClient(SocketClusterConfig config, SocketClientOptions options);
+
+  /// Sessions take `session` as their config, with n, f and keys filled in
+  /// here; the session with endpoint id `pid` starts at gateway
+  /// (session.first_gateway + pid) % n.
+  SocketSmrClient(SocketClusterConfig config, ProcessId first_client_id,
+                  std::uint32_t sessions, smr::SessionConfig session);
   ~SocketSmrClient();
 
   SocketSmrClient(const SocketSmrClient&) = delete;
@@ -146,7 +148,6 @@ class SocketSmrClient {
 
  private:
   SocketClusterConfig config_;
-  SocketClientOptions options_;
   net::SocketNetwork net_;
   std::shared_ptr<const crypto::KeyStore> keys_;
   std::vector<std::unique_ptr<engine::SocketHost>> hosts_;
@@ -193,8 +194,10 @@ class SocketSmrCluster {
   void crash(ProcessId id);
 
   /// Mid-run crash-recovery of a crashed replica: a fresh server on the
-  /// same port. Its applied count and slot order restart from zero.
-  void restart(ProcessId id);
+  /// same port. Its applied count and slot order restart from zero. False
+  /// (the replica stays crashed) if the port cannot be bound again within
+  /// 2 s — another socket took it while the replica was down.
+  bool restart(ProcessId id);
 
   /// Before start(): injected into every replica's pending queue, so the
   /// first window's proposals already carry real batches. After: sent as

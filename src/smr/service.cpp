@@ -174,19 +174,12 @@ class SocketService final : public Service {
     cluster_config.tx_delay_us = config.link_delay.count();
     cluster_ = std::make_unique<runtime::SocketSmrCluster>(cluster_config);
 
-    runtime::SocketClientOptions options;
-    options.first_client_id = cfg.n;
-    options.sessions = config.num_sessions;
-    options.num_shards = std::max(1u, config.smr.num_groups);
-    options.request_timeout_us = config.request_timeout != 0
-                                     ? config.request_timeout
-                                     : kSocketDefaultRequestTimeout;
-    options.request_deadline_us = config.request_deadline;
-    options.max_in_flight = config.max_in_flight;
-    options.first_gateway = config.first_gateway;
-    options.gateway_strike_limit = config.gateway_strike_limit;
-    client_ = std::make_unique<runtime::SocketSmrClient>(cluster_->config(),
-                                                         options);
+    const Duration timeout = config.request_timeout != 0
+                                 ? config.request_timeout
+                                 : kSocketDefaultRequestTimeout;
+    client_ = std::make_unique<runtime::SocketSmrClient>(
+        cluster_->config(), cfg.n, config.num_sessions,
+        make_session_config(config, 0, timeout, nullptr));
   }
 
   ~SocketService() override { stop(); }
@@ -206,6 +199,8 @@ class SocketService final : public Service {
   std::uint32_t num_sessions() const override { return client_->sessions(); }
 
   void crash(ProcessId replica) override { cluster_->crash(replica); }
+  /// A replica whose port cannot be bound again stays crashed
+  /// (is_faulty() tells).
   void restart(ProcessId replica) override { cluster_->restart(replica); }
 
   bool run_until(std::function<bool()> done,

@@ -148,6 +148,9 @@ void SmrNode::on_message(ProcessId from, const Bytes& payload) {
     case net::tags::kSmrSnapResponse:
       mux.on_snapshot_response(from, payload);
       return;
+    case net::tags::kSmrStatus:
+      mux.on_status(from, payload);
+      return;
     default:
       return;
   }

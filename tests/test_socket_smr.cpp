@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <string>
 #include <thread>
@@ -150,21 +151,20 @@ TEST(SocketSmr, CrashedReplicaRejoinsViaSnapshotStateTransfer) {
   for (std::uint64_t i = 61; i <= 120; ++i) cluster.submit(cmd(i), 0);
   ASSERT_TRUE(cluster.wait_applied(100, 120s));
 
-  cluster.restart(3);
-  // Slots open on demand, so the rejoiner learns how far behind it is
-  // only from live traffic: keep feeding commands until p3 has caught up
-  // on the whole log and — since a snapshot alone can satisfy the
-  // command count — demonstrably applies slots LIVE (post-install) too.
+  ASSERT_TRUE(cluster.restart(3));
+  // No new traffic: the rejoiner has to find out on its own how far
+  // behind it is.
+  ASSERT_TRUE(cluster.wait_applied(120, 120s))
+      << "the rejoined replica must catch back up to the whole log";
+
+  // A snapshot alone can satisfy the command count; keep feeding commands
+  // until p3 demonstrably applies slots LIVE (post-install) too.
   std::uint64_t next_cmd = 121;
   for (int round = 0;
-       round < 1200 && (cluster.server(3).applied_commands() < 120 ||
-                        cluster.applied_slots(3).size() < 5);
-       ++round) {
+       round < 1200 && cluster.applied_slots(3).size() < 5; ++round) {
     cluster.submit(cmd(next_cmd++), /*gateway=*/0);
     std::this_thread::sleep_for(25ms);
   }
-  ASSERT_GE(cluster.server(3).applied_commands(), 120u)
-      << "the rejoined replica must catch back up to the whole log";
   ASSERT_GE(cluster.applied_slots(3).size(), 5u)
       << "the rejoined replica never resumed applying live slots";
   ASSERT_TRUE(cluster.wait_applied(next_cmd - 1, 120s));
@@ -198,6 +198,40 @@ TEST(SocketSmr, CrashedReplicaRejoinsViaSnapshotStateTransfer) {
                   cluster.server(id).node().engine().highest_started()))
         << "p" << id;
   }
+}
+
+TEST(SocketSmr, RestartOnATakenPortFailsAndRetriesOnceItIsFree) {
+  // While p3 is down another socket takes its recorded port: restart must
+  // report that and leave p3 crashed, not abort. Once the port is free, p3
+  // rejoins an idle cluster that pruned everything it applied before the
+  // crash — with no snapshot boundary since — so the survivors snapshot
+  // on demand for it.
+  SocketClusterConfig config;
+  config.cfg = consensus::QuorumConfig::create(4, 1, 1);
+  config.smr.max_batch = 1;
+  config.smr.pipeline_depth = 2;
+  config.smr.snapshot_interval = 4;
+  SocketSmrCluster cluster(config);
+  for (std::uint64_t i = 1; i <= 10; ++i) cluster.submit(cmd(i));
+  cluster.start();
+  ASSERT_TRUE(cluster.wait_applied(10, 30s));
+  cluster.crash(3);
+
+  const net::LoopbackListener squatter =
+      net::bind_loopback_listener(cluster.config().peers[3].port);
+  ASSERT_GE(squatter.fd, 0);
+  EXPECT_FALSE(cluster.restart(3));
+  EXPECT_TRUE(cluster.is_faulty(3));
+  ::close(squatter.fd);
+
+  ASSERT_TRUE(cluster.restart(3));
+  EXPECT_FALSE(cluster.is_faulty(3));
+  ASSERT_TRUE(cluster.wait_applied(10, 30s))
+      << "the rejoined replica must catch up on an idle cluster";
+  cluster.stop();
+  EXPECT_GE(cluster.server(3).snapshots_installed(), 1u);
+  EXPECT_TRUE(cluster.correct_stores_agree());
+  EXPECT_EQ(cluster.server(3).node().store().get("key10"), "val10");
 }
 
 TEST(SocketSmr, PreStartCrashIsToleratedFromSlotOne) {
