@@ -3,6 +3,7 @@
 #include "consensus/types.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
 
 /// Experiment E9 (DESIGN.md §5): wall-clock microbenchmarks of the crypto
 /// substrate — the per-message costs a deployment would pay.
@@ -19,6 +20,20 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
+
+void BM_Sha256Portable(benchmark::State& state) {
+  // The scalar fallback on the same input: next to BM_Sha256/16384 this
+  // shows what the CPU-selected compressor buys on this host (the two are
+  // the same code on CPUs without SHA-NI).
+  Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        detail::sha256_with(detail::compress_portable, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(16384);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key(32, 0x11);

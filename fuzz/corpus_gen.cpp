@@ -240,6 +240,24 @@ void gen_schedule(const fs::path& root) {
              str_bytes(std::string_view(hex).substr(0, hex.size() / 3)));
 }
 
+void gen_sha256(const fs::path& root) {
+  const fs::path dir = root / "fuzz_sha256";
+
+  // Input = 1 chunking selector + message. Message lengths straddle the
+  // padding threshold (55/56), the block edge (63/64/65), the two-block
+  // padding edge (119/120) and a multi-block run; selectors alternate
+  // one-shot (0) and varied chunkings.
+  const std::size_t lengths[] = {0, 55, 56, 63, 64, 65, 119, 120, 1024};
+  for (std::size_t i = 0; i < std::size(lengths); ++i) {
+    Bytes input;
+    input.push_back(static_cast<std::uint8_t>(i % 2 == 0 ? 0 : 17 * i));
+    for (std::size_t j = 0; j < lengths[i]; ++j) {
+      input.push_back(static_cast<std::uint8_t>(j * 131 + i));
+    }
+    write_seed(dir, "len_" + std::to_string(lengths[i]), input);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,5 +270,6 @@ int main(int argc, char** argv) {
   gen_frame(root);
   gen_snapshot(root);
   gen_schedule(root);
+  gen_sha256(root);
   return 0;
 }

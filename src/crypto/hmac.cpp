@@ -4,7 +4,8 @@
 
 namespace fastbft::crypto {
 
-HmacSha256::HmacSha256(ByteView key) {
+HmacKey::HmacKey(ByteView key) {
+  constexpr std::size_t kBlockSize = 64;
   // Keys longer than one block are hashed down first (RFC 2104).
   std::array<std::uint8_t, kBlockSize> block{};
   if (key.size() > kBlockSize) {
@@ -15,17 +16,22 @@ HmacSha256::HmacSha256(ByteView key) {
   }
 
   std::array<std::uint8_t, kBlockSize> ipad;
+  std::array<std::uint8_t, kBlockSize> opad;
   for (std::size_t i = 0; i < kBlockSize; ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad_[i] = block[i] ^ 0x5c;
+    opad[i] = block[i] ^ 0x5c;
   }
-  inner_.update(ipad.data(), ipad.size());
+  Sha256 h;
+  h.update(ipad.data(), ipad.size());
+  inner = h.midstate();
+  h.reset();
+  h.update(opad.data(), opad.size());
+  outer = h.midstate();
 }
 
 Digest HmacSha256::finalize() {
   Digest inner_digest = inner_.finalize();
-  Sha256 outer;
-  outer.update(opad_.data(), opad_.size());
+  Sha256 outer(outer_);
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finalize();
 }

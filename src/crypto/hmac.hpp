@@ -8,13 +8,26 @@
 
 namespace fastbft::crypto {
 
+/// An HMAC key reduced to the SHA-256 midstates of its two pad blocks:
+/// `inner` after hashing key ^ ipad, `outer` after key ^ opad. Building one
+/// costs those two compressions once; every MAC resumed from it skips
+/// them, so a short MAC costs two compressions instead of four.
+struct HmacKey {
+  explicit HmacKey(ByteView key);
+
+  Sha256::Midstate inner;
+  Sha256::Midstate outer;
+};
+
 /// Streaming HMAC-SHA-256: the message is fed incrementally, so callers can
 /// MAC a multi-part preimage (domain tag, length prefixes, payload) without
 /// concatenating it into a temporary buffer first. One instance is
 /// single-use: construct, update*, finalize.
 class HmacSha256 {
  public:
-  explicit HmacSha256(ByteView key);
+  explicit HmacSha256(ByteView key) : HmacSha256(HmacKey(key)) {}
+  explicit HmacSha256(const HmacKey& key)
+      : inner_(key.inner), outer_(key.outer) {}
 
   void update(const std::uint8_t* data, std::size_t len) {
     inner_.update(data, len);
@@ -25,10 +38,8 @@ class HmacSha256 {
   Digest finalize();
 
  private:
-  static constexpr std::size_t kBlockSize = 64;
-
   Sha256 inner_;
-  std::array<std::uint8_t, kBlockSize> opad_;
+  Sha256::Midstate outer_;
 };
 
 /// Computes HMAC-SHA-256(key, message).

@@ -18,14 +18,15 @@ KeyStore::KeyStore(std::uint64_t master_seed, std::uint32_t num_processes) {
   keys_.reserve(num_processes);
   Sha256 fp;
   for (std::uint32_t i = 0; i < num_processes; ++i) {
-    keys_.push_back(derive_key(master, "process-key", i));
-    fp.update(keys_.back());
+    Bytes secret = derive_key(master, "process-key", i);
+    keys_.emplace_back(secret);
+    fp.update(secret);
   }
   Digest fp_digest = fp.finalize();
   std::memcpy(&fingerprint_, fp_digest.data(), sizeof(fingerprint_));
 }
 
-const Bytes& KeyStore::secret_of(ProcessId id) const {
+const HmacKey& KeyStore::mac_key_of(ProcessId id) const {
   FASTBFT_ASSERT(id < keys_.size(), "process id out of range in KeyStore");
   return keys_[id];
 }
@@ -40,10 +41,11 @@ inline ByteView domain_view(const std::string& domain) {
 /// MACs the short signing frame: str(domain) ‖ digest. The digest is fixed
 /// width, so the frame is injective without a second length prefix. Two
 /// SHA-256 data blocks regardless of how large the original message was —
-/// that is the whole point of hash-then-MAC.
-Digest mac_frame(const Bytes& secret, const std::string& domain,
+/// that is the whole point of hash-then-MAC — and with the key's cached
+/// midstates, two compressions in all.
+Digest mac_frame(const HmacKey& key, const std::string& domain,
                  const Digest& digest) {
-  HmacSha256 mac(secret);
+  HmacSha256 mac(key);
   mac.update_u32(static_cast<std::uint32_t>(domain.size()));
   mac.update(domain_view(domain));
   mac.update(digest.data(), digest.size());
@@ -60,15 +62,15 @@ Signature Signer::sign(const std::string& domain, ByteView message) const {
 
 Signature Signer::sign_digest(const std::string& domain,
                               const Digest& digest) const {
-  Digest d = mac_frame(keys_->secret_of(id_), domain, digest);
+  Digest d = mac_frame(keys_->mac_key_of(id_), domain, digest);
   return Signature{Bytes(d.begin(), d.end())};
 }
 
-bool Verifier::verify_digest_uncached(const Bytes& secret,
+bool Verifier::verify_digest_uncached(const HmacKey& key,
                                       const std::string& domain,
                                       const Digest& digest,
                                       const Signature& sig) const {
-  Digest d = mac_frame(secret, domain, digest);
+  Digest d = mac_frame(key, domain, digest);
   return bytes_equal(sig.bytes, ByteView(d.data(), d.size()));
 }
 
@@ -82,7 +84,7 @@ bool Verifier::verify_digest(ProcessId signer, const std::string& domain,
                              const Signature& sig) const {
   if (signer >= keys_->size()) return false;
   if (sig.bytes.size() != kSignatureSize) return false;
-  return verify_digest_uncached(keys_->secret_of(signer), domain, digest,
+  return verify_digest_uncached(keys_->mac_key_of(signer), domain, digest,
                                 sig);
 }
 
@@ -92,13 +94,13 @@ bool Verifier::verify_digest_memo(ProcessId signer, const std::string& domain,
   if (signer >= keys_->size()) return false;
   if (sig.bytes.size() != kSignatureSize) return false;
   if (!cache_) {
-    return verify_digest_uncached(keys_->secret_of(signer), domain, digest,
+    return verify_digest_uncached(keys_->mac_key_of(signer), domain, digest,
                                   sig);
   }
   VerifyKey key = VerifyKey::make(keys_->fingerprint(), signer, domain,
                                   digest, sig.bytes);
   if (auto verdict = cache_->lookup(key)) return *verdict;
-  bool ok = verify_digest_uncached(keys_->secret_of(signer), domain, digest,
+  bool ok = verify_digest_uncached(keys_->mac_key_of(signer), domain, digest,
                                    sig);
   cache_->insert(key, ok);
   return ok;

@@ -18,12 +18,13 @@
 /// a cluster `KeyStore` derives one 32-byte secret per process from a master
 /// seed, and a signature is HMAC-SHA-256(secret_i, domain ‖ SHA-256(message))
 /// — hash-then-MAC, the same shape as real sign-the-digest schemes.
-/// Verification re-derives the per-process secret. Within the simulated
-/// adversary model signatures are unforgeable by construction — none of the
-/// implemented Byzantine behaviours fabricate another process's signature,
-/// mirroring the paper's computationally bounded adversary. Signature size
-/// (32 bytes) and constant-time verification cost are realistic, so the
-/// certificate-size experiment (E4) is meaningful.
+/// Verification recomputes the MAC under the same per-process key; the
+/// `KeyStore` keeps each key only as its two HMAC midstates. Within the
+/// simulated adversary model signatures are unforgeable by construction —
+/// none of the implemented Byzantine behaviours fabricate another process's
+/// signature, mirroring the paper's computationally bounded adversary.
+/// Signature size (32 bytes) and constant-time verification cost are
+/// realistic, so the certificate-size experiment (E4) is meaningful.
 ///
 /// Hash-then-MAC is also the zero-copy hot path's crypto lever: the large
 /// preimage (a command batch plus view) is hashed ONCE and the 32-byte
@@ -59,7 +60,10 @@ class KeyStore {
   KeyStore(std::uint64_t master_seed, std::uint32_t num_processes);
 
   std::uint32_t size() const { return static_cast<std::uint32_t>(keys_.size()); }
-  const Bytes& secret_of(ProcessId id) const;
+
+  /// The HMAC midstates of `id`'s secret, computed once at construction:
+  /// what every sign and verify under that identity resumes from.
+  const HmacKey& mac_key_of(ProcessId id) const;
 
   /// Cheap identity of this key material (digest of all secrets). Baked
   /// into every VerificationCache key, so cached verdicts are unreachable
@@ -67,7 +71,7 @@ class KeyStore {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
-  std::vector<Bytes> keys_;
+  std::vector<HmacKey> keys_;
   std::uint64_t fingerprint_ = 0;
 };
 
@@ -102,9 +106,9 @@ class Signer {
 /// Verification handle; any process can verify any other process's
 /// signatures. Optionally backed by a shared VerificationCache: verifiers
 /// of all pipelined slots on one node share it, so a signature re-presented
-/// in another certificate (or another slot) costs one SHA-256 key
-/// derivation instead of a full HMAC. The cache key covers the signer's
-/// secret, so verdicts can never survive a key change.
+/// in another certificate (or another slot) costs one hash-table probe on
+/// a plain struct key instead of an HMAC. The cache key embeds the
+/// KeyStore fingerprint, so verdicts can never survive a key change.
 class Verifier {
  public:
   explicit Verifier(std::shared_ptr<const KeyStore> keys,
@@ -132,7 +136,7 @@ class Verifier {
   const std::shared_ptr<VerificationCache>& cache() const { return cache_; }
 
  private:
-  bool verify_digest_uncached(const Bytes& secret, const std::string& domain,
+  bool verify_digest_uncached(const HmacKey& key, const std::string& domain,
                               const Digest& digest,
                               const Signature& sig) const;
 

@@ -159,9 +159,10 @@ TEST_P(ServiceApi, DuplicateRetriesApplyAtMostOnce) {
                     .with_cluster(4, 1, 1)
                     .with_sessions(1)
                     .with_seed(13)
-                    // Far below the decision latency, so retries are
-                    // guaranteed to race the original.
-                    .with_request_timeout(sim ? 250 : 1'500);
+                    // Far below the decision latency (on sockets at least
+                    // four 300 us hops: request, propose, ack, reply), so
+                    // retries are guaranteed to race the original.
+                    .with_request_timeout(sim ? 250 : 750);
   if (!sim) config.with_link_delay(300us);
   auto service = make_service(GetParam(), config);
   service->start();
