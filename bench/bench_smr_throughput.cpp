@@ -146,7 +146,6 @@ struct ThroughputResult {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   double ticks_per_command = 0;
-  std::uint32_t max_inflight_slots = 0;
   std::uint64_t payload_allocs = 0;
   std::uint64_t payload_alloc_bytes = 0;
 };
@@ -211,7 +210,6 @@ ThroughputResult run_throughput(consensus::QuorumConfig cfg,
   result.slots_used = nodes[0]->current_slot();
   result.messages = cluster.network().stats().total_messages();
   result.bytes = cluster.network().stats().total_bytes();
-  result.max_inflight_slots = cluster.network().stats().max_inflight_slots();
   result.payload_allocs = net::PayloadStats::allocs() - allocs_before;
   result.payload_alloc_bytes =
       net::PayloadStats::alloc_bytes() - alloc_bytes_before;
@@ -235,19 +233,18 @@ std::string config_json(std::uint32_t n, std::uint32_t f, std::uint32_t t,
 void pipeline_sweep() {
   std::printf("\n=== E8g: SMR throughput by pipeline depth (n = 4, "
               "f = t = 1, batch = 8, 400 commands) ===\n");
-  std::printf("%-8s %-18s %-10s %-12s %-16s %-10s\n", "depth",
-              "cmds/1000delta", "slots", "msgs", "delta/command",
-              "inflight");
+  std::printf("%-8s %-18s %-10s %-12s %-16s\n", "depth", "cmds/1000delta",
+              "slots", "msgs", "delta/command");
   double baseline = 0;
   for (std::uint32_t depth : {1u, 2u, 4u, 8u}) {
     auto cfg = consensus::QuorumConfig::create(4, 1, 1);
     auto r = run_throughput(cfg, 8, 400, /*seed=*/1, depth);
     if (depth == 1) baseline = r.commands_per_kdelta;
-    std::printf("%-8u %-18.1f %-10llu %-12llu %-16.2f %-10u\n", depth,
+    std::printf("%-8u %-18.1f %-10llu %-12llu %-16.2f\n", depth,
                 r.commands_per_kdelta,
                 static_cast<unsigned long long>(r.slots_used),
                 static_cast<unsigned long long>(r.messages),
-                r.ticks_per_command / 100.0, r.max_inflight_slots);
+                r.ticks_per_command / 100.0);
     g_recorder.add("E8g", config_json(4, 1, 1, 8, depth, 400), 0,
                    r.commands_per_kdelta, 0, r.messages, r.bytes,
                    r.payload_allocs, r.payload_alloc_bytes);

@@ -112,6 +112,11 @@ class CatchUpPolicy {
   /// one correct process has applied every slot below it.
   Slot peer_watermark(std::uint32_t rank, ProcessId self) const;
 
+  /// `peer`'s latest recorded watermark (1 if none).
+  Slot watermark(ProcessId peer) const {
+    return peer < watermarks_.size() ? watermarks_[peer] : 1;
+  }
+
   /// Lowest slot whose decided value may still be retained: the maximum of
   /// the cluster-wide watermark minimum and the local snapshot floor.
   /// Slots below it have been pruned.

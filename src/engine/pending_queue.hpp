@@ -75,8 +75,8 @@ class PendingQueue {
   std::size_t claimed_count() const { return claimed_.size(); }
 
   /// True when claim() would return at least one command — the signal
-  /// on-demand windows (SlotMuxOptions::eager_windows = false) open
-  /// slots by. O(pending), which stays window-sized in practice.
+  /// the engine opens slots by (slots open on demand). O(pending), which
+  /// stays window-sized in practice.
   bool has_unclaimed() const {
     for (const auto& cmd : pending_) {
       CommandId id = id_of(cmd);

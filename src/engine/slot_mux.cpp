@@ -84,20 +84,16 @@ void SlotMux::defer_guarded(std::function<void()> fn) {
 
 void SlotMux::start() {
   fill_window();
-  // On-demand windows carry no gossip while the cluster idles, so a
-  // replica starting into a running cluster (a restart) would never learn
-  // how far behind it is: ask.
-  if (!options_.eager_windows) request_status();
+  // An idle cluster carries no gossip, so a replica starting into a
+  // running cluster (a restart) would never learn how far behind it is:
+  // ask. The replies carry one window of decided values, and if f + 1 of
+  // them report being ahead, on_status starts catching up.
+  send_status(kNoProcess, /*want_reply=*/true);
 }
 
 bool SlotMux::submit(const smr::Command& cmd) {
   if (!pending_.admit(cmd)) return false;
-  if (!options_.eager_windows) {
-    // On-demand windows: arrival is what opens the slot (eager mode's
-    // noop churn does this implicitly by keeping the window full).
-    fill_window();
-    note_inflight();
-  }
+  fill_window();  // arrival is what opens a slot
   return true;
 }
 
@@ -128,8 +124,7 @@ void SlotMux::fill_window() {
     // On demand, a slot opens for a command to propose or because f + 1
     // peers report having applied it (catch-up: our instance adopts the
     // decided value they send, or asks for it after its timeout).
-    if (!options_.eager_windows && !pending_.has_unclaimed() &&
-        next_start_ >= catch_up_target()) {
+    if (!pending_.has_unclaimed() && next_start_ >= catch_up_target()) {
       break;
     }
     if (options_.max_reorder_backlog > 0 &&
@@ -226,7 +221,6 @@ void SlotMux::start_slot(Slot slot) {
   FASTBFT_ASSERT(inserted, "slot already active");
   it->second.sync->start();
   it->second.replica->start();
-  note_inflight();
 
   // A laggard may already hold f + 1 matching decided claims for this slot.
   if (auto claim = catchup_.ready_claim(slot)) {
@@ -261,8 +255,8 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
 
   drain_apply();
   fill_window();
-  note_inflight();
   replay_parked();
+  if (!idle_check_armed_) arm_idle_check(2 * options_.sync.base_timeout);
 }
 
 void SlotMux::drain_apply() {
@@ -276,6 +270,12 @@ void SlotMux::drain_apply() {
   // Our own watermark advanced; it participates in the prune floor exactly
   // like gossiped peer watermarks.
   catchup_.note_watermark(ctx_.id, next_apply_);
+  if (catching_up_ && !behind_peers()) {
+    // Caught up: say so once, so peers whose idle check was sending us
+    // their status stop.
+    catching_up_ = false;
+    send_status(kNoProcess, /*want_reply=*/false);
+  }
 }
 
 void SlotMux::maybe_take_snapshot(Slot just_applied) {
@@ -386,7 +386,6 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
       return;
     }
     while (!done() && next_start_ <= slot) start_slot(next_start_++);
-    note_inflight();
   }
   auto it = active_.find(slot);
   if (it == active_.end()) return;
@@ -558,9 +557,47 @@ void SlotMux::on_status(ProcessId from, ByteView payload) {
       }
     }
   }
+  // An idle replica that f + 1 peers report being ahead of asks what it
+  // missed: no slot traffic will tell it. A busy one is catching up
+  // through that traffic already, and asking under load is expensive
+  // (docs/CATCHUP.md §5).
+  if (active_.empty() && !catching_up_ && behind_peers()) request_status();
   // f + 1 peers past our cursor open the slots we are missing.
   fill_window();
-  note_inflight();
+}
+
+void SlotMux::arm_idle_check(Duration delay) {
+  idle_check_armed_ = true;
+  idle_check_cursor_ = next_apply_;
+  idle_check_delay_ = delay;
+  timers_.schedule_after(delay, [this] { on_idle_check(); });
+}
+
+void SlotMux::on_idle_check() {
+  idle_check_armed_ = false;
+  const Duration period = 2 * options_.sync.base_timeout;
+  if (next_apply_ != idle_check_cursor_ || !active_.empty()) {
+    // Busy: one timer per period and no traffic.
+    arm_idle_check(period);
+    return;
+  }
+  // Idle since the check was armed. A peer that missed our last slots (a
+  // partition, lost messages) learns nothing from an idle cluster, so
+  // tell each peer whose last gossiped watermark is below ours where we
+  // are; f + 1 such reports make it ask (on_status). The status asks for
+  // a reply: gossip ends a slot before its senders apply it, so after a
+  // burst the watermarks we hold are often one behind, and the reply (a
+  // bare status from a peer that is not behind) is what stops the
+  // telling. A crashed peer is told at the capped backoff until it
+  // rejoins.
+  bool told = false;
+  for (ProcessId peer = 0; peer < ctx_.cfg.n; ++peer) {
+    if (peer == ctx_.id || catchup_.watermark(peer) >= next_apply_) continue;
+    send_status(peer, /*want_reply=*/true);
+    told = true;
+  }
+  if (!told) return;  // quiescent until the next decision re-arms
+  arm_idle_check(std::min(2 * idle_check_delay_, 64 * period));
 }
 
 void SlotMux::on_snapshot_request(ProcessId from, ByteView payload) {
@@ -641,16 +678,9 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // window reopens from the new cursor. The snapshot may be older than
   // the cluster's head: ask what lies past it.
   drain_apply();
-  if (!options_.eager_windows) request_status();
+  request_status();
   fill_window();
-  note_inflight();
   replay_parked();
-}
-
-void SlotMux::note_inflight() {
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->note_inflight_slots(ctx_.id, inflight_slots());
-  }
 }
 
 }  // namespace fastbft::engine

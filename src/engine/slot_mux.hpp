@@ -11,7 +11,6 @@
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
 #include "engine/timer_wheel.hpp"
-#include "net/stats.hpp"
 #include "smr/batch.hpp"
 #include "viewsync/synchronizer.hpp"
 
@@ -27,11 +26,14 @@
 /// wall-clock time (SocketHost + runtime::SocketSmrServer).
 ///
 /// Responsibilities:
-///  * window management — slot s starts as soon as s < next_apply +
-///    pipeline_depth, so up to `depth` slots run their 2-step fast paths
-///    concurrently instead of strictly one after another; a congestion
-///    clamp (`max_reorder_backlog`) additionally stops opening slots while
-///    too many decisions sit blocked behind a stalled predecessor;
+///  * window management — slots open on demand: slot s starts once
+///    s < next_apply + pipeline_depth AND there is a reason to run it (a
+///    pending command to propose, a peer's traffic for s, or f + 1 peers
+///    reporting they applied s), so up to `depth` slots run their 2-step
+///    fast paths concurrently while an idle replica runs none; a
+///    congestion clamp (`max_reorder_backlog`) additionally stops opening
+///    slots while too many decisions sit blocked behind a stalled
+///    predecessor;
 ///  * dispatch — all SMR_WRAPPED{slot, watermark, inner} traffic is routed
 ///    through a single slot -> instance table (no per-slot transport shims
 ///    on the receive path);
@@ -51,6 +53,10 @@
 ///    were pruned; installing a verified snapshot jumps next-apply to the
 ///    snapshot boundary and restores the state machine through
 ///    SnapshotHooks::install;
+///  * idle convergence — an idle cluster sends no slot traffic and so no
+///    watermark gossip; SMR_STATUS exchanges (request_status, the idle
+///    check) tell a replica that fell behind it is behind, and what it
+///    missed;
 ///  * policy objects — client-command intake/dedup/claims (PendingQueue)
 ///    and decided-value/snapshot state transfer (CatchUpPolicy) live
 ///    behind the engine rather than in the client-facing SMR shell;
@@ -78,10 +84,6 @@ struct EngineContext {
   /// fixed offset; inbound payloads for a different group are dropped.
   GroupId group = 0;
 
-  /// Optional in-flight-window gauge sink. Sim-only: NetworkStats is not
-  /// thread-safe, so wall-clock hosts leave it null.
-  net::NetworkStats* stats = nullptr;
-
   /// Signature-verification memo shared by every slot's Verifier on this
   /// node, so votes/certificate entries replayed across certs and
   /// pipelined slots skip redundant HMACs. Created by the SlotMux when
@@ -108,16 +110,6 @@ struct SlotMuxOptions {
   /// initial leader of every in-flight slot. Off by default: the paper's
   /// single-shot experiments assume the slot-independent leader function.
   bool rotate_leaders = false;
-
-  /// Open slots eagerly to the full window even with nothing to propose
-  /// (idle slots decide noop batches, keeping the log live — the
-  /// machinery's own liveness check and the behaviour every simulator
-  /// experiment assumes). Off: a slot opens only when the pending queue
-  /// holds a claimable command (or a peer's traffic joins it), so an
-  /// idle replica is quiescent instead of spinning noop slots — on a
-  /// wall-clock transport the spin competes with real work for the CPU
-  /// and can more than halve useful slot capacity.
-  bool eager_windows = true;
 
   /// Congestion-style depth clamp: while more than this many decisions are
   /// parked in the reorder buffer (blocked behind a stalled slot), no new
@@ -345,7 +337,9 @@ class SlotMux {
   void send_status(ProcessId to, bool want_reply);
   void send_wrapped(Slot slot, ProcessId to, ByteView payload);
   void broadcast_wrapped(Slot slot, ByteView payload, bool include_self);
-  void note_inflight();
+  void arm_idle_check(Duration delay);
+  void on_idle_check();
+  bool behind_peers() const { return catch_up_target() > next_apply_; }
 
   /// Defers `fn` to the host, guarded so a closure outliving this engine
   /// (e.g. across a crash-restart node swap) becomes a no-op instead of a
@@ -401,15 +395,26 @@ class SlotMux {
   bool snap_probe_armed_ = false;
   Slot snap_probe_floor_ = 0;
 
-  /// On-demand windows only (eager windows keep gossip, and with it the
-  /// WISH-driven catch-up, flowing). A replica at start() or after a
-  /// snapshot install asks its peers for their status and one window of
-  /// decided values (request_status). `catching_up_` stays set while
-  /// f + 1 peers report applying past our cursor; `status_asked_at_` is
-  /// our cursor at the last ask or retry check.
+  /// Slots open on demand, so an idle cluster sends no wrapped gossip and
+  /// a replica that fell behind it cannot learn so from slot traffic. It
+  /// asks its peers for their status and one window of decided values at
+  /// start(), and keeps asking (request_status) after a snapshot install
+  /// and whenever it is idle and f + 1 peers report being ahead.
+  /// `catching_up_` stays set while f + 1 peers report applying past our
+  /// cursor; `status_asked_at_` is our cursor at the last ask or retry
+  /// check.
   bool catching_up_ = false;
   bool status_retry_armed_ = false;
   Slot status_asked_at_ = 0;
+
+  /// Idle check (on_idle_check): armed by a decision, it fires after
+  /// `idle_check_delay_` and, if nothing was applied since it was armed
+  /// and no slot is live, sends our status to each peer whose gossiped
+  /// watermark is below ours. It repeats with capped doubling delay while
+  /// such peers remain; a busy check resets the delay to one period.
+  bool idle_check_armed_ = false;
+  Slot idle_check_cursor_ = 0;
+  Duration idle_check_delay_ = 0;
 
   /// Liveness flag captured by deferred closures (see defer_guarded).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/codec.hpp"
 #include "net/tags.hpp"
 
 namespace fastbft::net {
@@ -14,37 +13,6 @@ void NetworkStats::record_send(const Bytes& payload) {
   ts.bytes += payload.size();
   total_messages_ += 1;
   total_bytes_ += payload.size();
-
-  // SMR_WRAPPED carries the group id and slot index right after the tag
-  // byte (the sender's applied watermark and the inner payload follow);
-  // attribute the message to its slot.
-  if (tag == tags::kSmrWrapped && payload.size() >= 13) {
-    Decoder dec(payload);
-    dec.u8();
-    dec.u32();  // group
-    Slot slot = dec.u64();
-    if (dec.ok()) {
-      TypeStats& ss = by_slot_[slot];
-      ss.count += 1;
-      ss.bytes += payload.size();
-    }
-  }
-}
-
-std::uint64_t NetworkStats::messages_for_slot(Slot slot) const {
-  auto it = by_slot_.find(slot);
-  return it == by_slot_.end() ? 0 : it->second.count;
-}
-
-void NetworkStats::note_inflight_slots(ProcessId node,
-                                       std::uint32_t inflight) {
-  inflight_by_node_[node] = inflight;
-  if (inflight > max_inflight_slots_) max_inflight_slots_ = inflight;
-}
-
-std::uint32_t NetworkStats::inflight_slots(ProcessId node) const {
-  auto it = inflight_by_node_.find(node);
-  return it == inflight_by_node_.end() ? 0 : it->second;
 }
 
 std::uint64_t NetworkStats::messages_of(std::uint8_t tag) const {
@@ -54,11 +22,8 @@ std::uint64_t NetworkStats::messages_of(std::uint8_t tag) const {
 
 void NetworkStats::reset() {
   by_type_.clear();
-  by_slot_.clear();
   total_messages_ = 0;
   total_bytes_ = 0;
-  inflight_by_node_.clear();
-  max_inflight_slots_ = 0;
 }
 
 std::string NetworkStats::summary() const {
@@ -67,10 +32,6 @@ std::string NetworkStats::summary() const {
   for (const auto& [tag, ts] : by_type_) {
     out << "  " << tag_name(tag) << ": " << ts.count << " msgs, " << ts.bytes
         << " bytes\n";
-  }
-  if (!by_slot_.empty()) {
-    out << "  SMR slots touched: " << by_slot_.size()
-        << ", max in flight per node: " << max_inflight_slots_ << "\n";
   }
   return out.str();
 }

@@ -11,11 +11,7 @@
 /// \file stats.hpp
 /// Per-message-type traffic accounting. The first payload byte is the type
 /// tag; the pretty-printer maps known tags to names so benchmark output is
-/// readable. SMR_WRAPPED payloads additionally carry a slot index right
-/// after the tag, which is broken out per slot so pipelined-SMR benchmarks
-/// can attribute traffic to individual consensus slots; the SMR engine
-/// also reports how many slots it has in flight (note_inflight_slots) so
-/// the pipeline window is visible in the same place.
+/// readable.
 
 namespace fastbft::net {
 
@@ -41,26 +37,6 @@ class NetworkStats {
   /// Messages of one tag (0 if none seen).
   std::uint64_t messages_of(std::uint8_t tag) const;
 
-  // --- Per-slot accounting (SMR_WRAPPED traffic) ----------------------------
-
-  /// Wrapped consensus traffic broken out by slot index.
-  const std::map<Slot, TypeStats>& by_slot() const { return by_slot_; }
-
-  /// Wrapped messages attributed to one slot (0 if none seen).
-  std::uint64_t messages_for_slot(Slot slot) const;
-
-  /// Called by the SMR engine whenever its window changes: `inflight` is
-  /// the number of consensus slots currently live on reporting node
-  /// `node` (the stats object is shared by the whole simulated cluster,
-  /// so the gauge is tracked per node).
-  void note_inflight_slots(ProcessId node, std::uint32_t inflight);
-
-  /// Most recent in-flight count reported by `node` (0 if never reported).
-  std::uint32_t inflight_slots(ProcessId node) const;
-
-  /// High-water in-flight count across all nodes and all time.
-  std::uint32_t max_inflight_slots() const { return max_inflight_slots_; }
-
   void reset();
 
   /// Multi-line human-readable summary.
@@ -68,11 +44,8 @@ class NetworkStats {
 
  private:
   std::map<std::uint8_t, TypeStats> by_type_;
-  std::map<Slot, TypeStats> by_slot_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::map<ProcessId, std::uint32_t> inflight_by_node_;
-  std::uint32_t max_inflight_slots_ = 0;
 };
 
 /// Maps a payload tag to a short name ("PROPOSE", "ACK", ...). Unknown tags

@@ -42,17 +42,10 @@ SocketSmrServer::SocketSmrServer(SocketClusterConfig config, ProcessId id,
   smr::SmrOptions smr_options = config_.smr;
   smr_options.node.sync.base_timeout = config_.sync_base_timeout_us;
   smr_options.num_clients = config_.num_clients;
-  // On-demand windows: over a wall-clock transport, eager noop slots are
-  // not free — they compete with command slots for real CPU (and more
-  // than halved command throughput on a loaded loopback cluster). A
-  // replica that falls behind an idle cluster asks for what it missed
-  // with SMR_STATUS instead (docs/CATCHUP.md §5).
-  smr_options.eager_windows = false;
 
   host_ = std::make_unique<engine::SocketHost>(net_, id_);
-  engine::EngineContext ectx{config_.cfg, id_,        keys_,
-                             leader_of_,  /*group=*/0, /*stats=*/nullptr,
-                             /*verify_cache=*/nullptr};
+  engine::EngineContext ectx{config_.cfg, id_, keys_, leader_of_,
+                             /*group=*/0, /*verify_cache=*/nullptr};
   node_ = std::make_unique<smr::SmrNode>(
       *host_, std::move(ectx), net_.endpoint(id_), smr_options,
       [this, on_commit = std::move(on_commit)](

@@ -11,7 +11,6 @@ namespace fastbft::smr {
 SmrNode::SmrNode(const runtime::ProcessContext& ctx, SmrOptions options,
                  CommitCallback on_commit)
     : ectx_{ctx.cfg, ctx.id, ctx.keys, ctx.leader_of, /*group=*/0,
-            ctx.network != nullptr ? &ctx.network->stats() : nullptr,
             /*verify_cache=*/nullptr},
       options_(std::move(options)),
       on_commit_(std::move(on_commit)),
@@ -45,7 +44,6 @@ void SmrNode::init_groups(engine::Host& host) {
   mux_options.max_batch = options_.max_batch;
   mux_options.rotate_leaders =
       options_.rotate_leaders.value_or(options_.num_groups > 1);
-  mux_options.eager_windows = options_.eager_windows;
   mux_options.max_reorder_backlog = options_.max_reorder_backlog;
   mux_options.snapshot_interval = options_.snapshot_interval;
   mux_options.snapshot_chunk_bytes = options_.snapshot_chunk_bytes;

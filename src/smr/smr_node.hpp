@@ -62,6 +62,11 @@
 ///    snapshot chunked into SNAPSHOT_RESPONSE messages. f + 1 matching
 ///    (slot, digest) vouchers plus a digest-verified body install the
 ///    state and resume applying from the snapshot boundary (docs/CATCHUP.md).
+///  * Slots open only for commands, so an idle cluster sends no wrapped
+///    gossip. SMR_STATUS{group, watermark, snapshot floor, want_reply}
+///    carries the same header without a slot: a replica asks with it at
+///    start, and idle replicas send it to peers they see behind them
+///    (docs/CATCHUP.md §5).
 
 namespace fastbft::smr {
 
@@ -97,12 +102,6 @@ struct SmrOptions {
   /// groups (the paper's single-shot experiments assume a slot-independent
   /// leader function). Tests that pin a fixed leader set this explicitly.
   std::optional<bool> rotate_leaders;
-
-  /// Open slots eagerly to the full window even when idle (see
-  /// engine::SlotMuxOptions). The simulator default; the socket runtime
-  /// turns it off so idle replicas do not spin noop slots against real
-  /// CPUs.
-  bool eager_windows = true;
 
   /// Reorder-backlog congestion clamp (see engine::SlotMuxOptions;
   /// 0 = disabled).

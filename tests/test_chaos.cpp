@@ -346,6 +346,24 @@ TEST(ChaosRegression, CommittedUnsafeQuorumScheduleStillFails) {
   EXPECT_FALSE(good.failed()) << good.check.violation;
 }
 
+TEST(ChaosRegression, CommittedIdleConvergenceScheduleConverges) {
+  // Minimized by the chaos_fuzz shrinker from seed 10: one partition cuts
+  // replica 1 off while the workload commits, and nothing ever heals it
+  // before the convergence phase. The cluster is idle by then, so no slot
+  // traffic reaches replica 1 again; it converges only because idle
+  // replicas tell a peer they see behind them (docs/CATCHUP.md §5).
+  std::string hex = read_artifact("chaos_regression_idle_convergence.hex");
+  ASSERT_FALSE(hex.empty()) << "missing committed artifact";
+  auto schedule = Schedule::from_hex(hex);
+  ASSERT_TRUE(schedule.has_value()) << "artifact does not decode";
+  ASSERT_EQ(schedule->faults.size(), 1u);
+  ASSERT_EQ(schedule->faults[0].kind, FaultEvent::Kind::PartitionStart);
+
+  RunResult result = Harness{}.run(*schedule);
+  EXPECT_TRUE(result.stores_converged);
+  EXPECT_FALSE(result.failed()) << result.check.violation;
+}
+
 // --- Gateway blacklisting (permanently-Byzantine gateway) --------------------
 
 TEST(GatewayBlacklist, ByzantineGatewayIsDemotedNotRetriedForever) {

@@ -44,9 +44,9 @@ Reply must_complete(Service& service, Future<Reply> future) {
 }
 
 /// run_until that keeps one put from session 0 in flight while it waits:
-/// the socket runtime opens slots on demand (idle replicas run no noop
-/// slots), so the adaptive controller sees decisions only while requests
-/// flow. Returns with no trickle put outstanding.
+/// the engine opens slots on demand (idle replicas run no slots), so the
+/// adaptive controller sees decisions only while requests flow. Returns
+/// with no trickle put outstanding.
 bool run_with_trickle(Service& service, const std::function<bool()>& done,
                       std::chrono::milliseconds budget) {
   ClientSession& session = service.session(0);

@@ -237,6 +237,46 @@ TEST_P(ShardedApi, ReplicaCrashAndRejoinWhileAllShardsServe) {
   EXPECT_TRUE(service->stores_agree());
 }
 
+// --- Deep pipelines under closed-loop load -----------------------------------
+
+TEST(ShardedSim, DeepPipelineUnderClosedLoopLoadCompletes) {
+  // Regression: when the simulator opened every slot of the window
+  // eagerly and filled idle ones with noop batches, 2 shards at depth 8
+  // under 4 sessions x window 32 spun noop slots instead of finishing:
+  // after minutes of CPU, 400 puts were still incomplete. Slots now open
+  // for commands only. The budget is simulated time (1 ms = 1000 ticks),
+  // so a relapse fails within a second instead of running for minutes.
+  auto config = ServiceConfig{}
+                    .with_cluster(4, 1, 1)
+                    .with_sessions(4)
+                    .with_shards(2)
+                    .with_batch(8)
+                    .with_pipeline_depth(8)
+                    .with_window(32)
+                    .with_seed(43);
+  auto service = make_sim_service(config);
+  service->start();
+
+  constexpr int kPuts = 400;
+  std::vector<Future<Reply>> puts;
+  for (int i = 0; i < kPuts; ++i) {
+    puts.push_back(service->session(i % 4).put("k" + std::to_string(i),
+                                               "v" + std::to_string(i)));
+  }
+  std::size_t done = 0;
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        while (done < puts.size() && puts[done].ready()) ++done;
+        return done == puts.size();
+      },
+      50ms))  // ~20x the 2.5k ticks the run takes
+      << done << " of " << kPuts << " puts completed";
+  for (const auto& put : puts) EXPECT_TRUE(put.value().result.ok);
+  EXPECT_TRUE(service->await_applied(kPuts, 50ms));
+  service->stop();
+  EXPECT_TRUE(service->stores_agree());
+}
+
 // --- Deadlines against a dead quorum ------------------------------------------
 
 TEST(ShardedDeadline, CompletesWithTimeoutWhenQuorumIsGone) {

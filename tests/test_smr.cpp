@@ -288,19 +288,92 @@ TEST(Smr, LeaderCrashMidStream) {
   EXPECT_EQ(h.nodes[3]->store().state_digest(), digest1);
 }
 
-TEST(Smr, NoopSlotsWhenIdle) {
-  // Without a target, an idle cluster keeps replicating noop slots; state
-  // digests still match (liveness of the machinery itself).
+TEST(Smr, IdleClusterIsQuiescent) {
+  // Slots open on demand: without commands an idle cluster opens no slot
+  // and sends no consensus traffic at all, however long it runs.
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
-  smr_options.target_commands = 0;
+  smr_options.pipeline_depth = 4;
   SmrCluster h(cfg, smr_options);
   h.cluster->start();
-  h.cluster->run_until(5'000);
-  EXPECT_GT(h.nodes[0]->noop_slots(), 0u);
-  EXPECT_EQ(h.nodes[0]->applied_commands(), 0u);
-  EXPECT_EQ(h.nodes[0]->store().state_digest(),
-            h.nodes[3]->store().state_digest());
+  h.cluster->run_until(50'000);
+  for (ProcessId id = 0; id < 4; ++id) {
+    EXPECT_EQ(h.nodes[id]->current_slot(), 0u) << "p" << id;
+    EXPECT_EQ(h.nodes[id]->noop_slots(), 0u) << "p" << id;
+    EXPECT_EQ(h.nodes[id]->applied_commands(), 0u) << "p" << id;
+  }
+  EXPECT_EQ(h.cluster->network().stats().messages_of(net::tags::kSmrWrapped),
+            0u);
+}
+
+TEST(Smr, IdleClusterGoesQuietAfterABurst) {
+  // After a burst the idle check tells peers whose gossiped watermark is
+  // behind; gossip ends a slot before its senders apply it, so that is
+  // most peers, and only their replies end the telling. These two runs
+  // kept sending SMR_STATUS forever when the check did not ask for one.
+  for (auto [seed, depth] : {std::pair<std::uint64_t, std::uint32_t>{1, 8},
+                             std::pair<std::uint64_t, std::uint32_t>{5, 1}}) {
+    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+    SmrOptions smr_options;
+    smr_options.max_batch = 2;
+    smr_options.pipeline_depth = depth;
+    SmrCluster h(cfg, smr_options, seed);
+    h.options.net.min_delay = 30;
+    h.cluster = std::make_unique<runtime::Cluster>(
+        h.options, std::vector<Value>(4, Value::of_string("unused")));
+    h.cluster->start();
+    h.cluster->scheduler().schedule_at(0, [&] {
+      for (std::uint64_t i = 1; i <= 40; ++i) {
+        h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 1, i));
+      }
+    });
+    h.cluster->run_until(1'000'000);
+    const auto& stats = h.cluster->network().stats();
+    const std::uint64_t statuses = stats.messages_of(net::tags::kSmrStatus);
+    h.cluster->run_until(10'000'000);
+    EXPECT_EQ(stats.messages_of(net::tags::kSmrStatus), statuses)
+        << "seed " << seed << " depth " << depth;
+    for (ProcessId id = 0; id < 4; ++id) {
+      EXPECT_EQ(h.nodes[id]->applied_commands(), 40u) << "p" << id;
+      EXPECT_EQ(h.nodes[id]->engine().timers().pending(), 0u)
+          << "seed " << seed << " depth " << depth << " p" << id;
+    }
+  }
+}
+
+TEST(Smr, PartitionedReplicaConvergesOnIdleCluster) {
+  // p3 is cut off while 24 commands commit, then the partition heals and
+  // nothing more is submitted. No slot traffic will ever reach p3 again,
+  // so only the idle check tells it that it is behind: the others see its
+  // stale watermark and send their status, p3 finds f + 1 peers ahead and
+  // asks for the decided slots it missed.
+  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+  SmrOptions smr_options;
+  smr_options.max_batch = 2;
+  smr_options.pipeline_depth = 4;
+  SmrCluster h(cfg, smr_options, /*seed=*/11);
+  h.cluster->start();
+  auto submit = [&](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t i = first; i <= last; ++i) {
+      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
+                                      "val" + std::to_string(i), 1, i));
+    }
+  };
+  h.cluster->scheduler().schedule_at(0, [&] { submit(1, 8); });
+  h.cluster->scheduler().schedule_at(20'000, [&] {
+    h.cluster->network().set_partition({0, 0, 0, 1});
+  });
+  h.cluster->scheduler().schedule_at(30'000, [&] { submit(9, 32); });
+  h.cluster->run_until(60'000);
+  ASSERT_EQ(h.nodes[0]->applied_commands(), 32u);
+  ASSERT_EQ(h.nodes[3]->applied_commands(), 8u)
+      << "p3 must have missed everything past the partition";
+
+  h.cluster->network().clear_partition();
+  h.cluster->run_until(60'000 + 200'000);
+  EXPECT_EQ(h.nodes[3]->applied_commands(), 32u);
+  EXPECT_EQ(h.nodes[3]->store().state_digest(),
+            h.nodes[0]->store().state_digest());
 }
 
 
@@ -442,17 +515,22 @@ TEST(SmrPipelined, NodesExposeEngineWindow) {
   smr_options.pipeline_depth = 4;
   SmrCluster h(cfg, smr_options);
   h.cluster->start();
-  h.cluster->run_until(0);  // run the start events only
+  // depth x batch commands: enough to fill every slot of the window.
+  const std::uint64_t commands = 4 * smr_options.max_batch;
+  h.cluster->scheduler().schedule_at(0, [&] {
+    for (std::uint64_t i = 1; i <= commands; ++i) {
+      h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 1, i));
+    }
+  });
+  // Requests have arrived (one link delay), no slot has decided yet.
+  h.cluster->run_until(100);
   EXPECT_EQ(h.nodes[0]->current_slot(), 4u) << "window opens depth slots";
   EXPECT_EQ(h.nodes[0]->engine().inflight_slots(), 4u);
   EXPECT_EQ(h.nodes[0]->engine().next_to_apply(), 1u);
-  EXPECT_EQ(h.cluster->network().stats().inflight_slots(0), 4u)
-      << "the per-node gauge tracks this node's window";
   h.cluster->run_until(50'000);
-  EXPECT_GT(h.nodes[0]->noop_slots(), 0u);
-  // The network-level gauge saw the full window too.
-  EXPECT_GE(h.cluster->network().stats().max_inflight_slots(), 4u);
-  EXPECT_GT(h.cluster->network().stats().messages_for_slot(1), 0u);
+  EXPECT_EQ(h.nodes[0]->applied_commands(), commands);
+  EXPECT_EQ(h.nodes[0]->engine().inflight_slots(), 0u)
+      << "the window drains once nothing is left to propose";
 }
 
 TEST(SmrPipelined, FaultyLeaderDoesNotStallLaterSlots) {
@@ -627,6 +705,10 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
   SmrCluster h(cfg, smr_options);
   h.cluster->start();
   h.cluster->run_until(0);  // run the start events only
+  // A pending command opens slot 1 on p3 (slots open on demand). The
+  // command goes back to the queue once slot 1 decides something else.
+  h.nodes[3]->on_message(
+      0, SmrNode::encode_request(Command::put("good", "1", 7, 1)));
   ASSERT_EQ(h.nodes[3]->current_slot(), 1u);
 
   Value claimed = encode_batch({Command::put("evil", "1", 66, 1)});
@@ -656,20 +738,40 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
 
 // --- Snapshot state transfer: crash -> watermark pin -> rejoin -------------------
 
+/// The crash tests' workload, submitted through p0 one command per slot:
+/// 10 commands before p3 crashes at 20k, 60 while it is down (t = 40k)
+/// and `after_restart` more once it rejoined (t = 200k). Slots open only
+/// for commands, so the 60 are what carries the cluster past p3's frozen
+/// watermark.
+void submit_crash_schedule(SmrCluster& h, std::uint64_t after_restart) {
+  auto submit = [&h](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t i = first; i <= last; ++i) {
+      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
+                                      "val" + std::to_string(i), 1, i));
+    }
+  };
+  h.cluster->scheduler().schedule_at(0, [submit] { submit(1, 10); });
+  h.cluster->scheduler().schedule_at(40'000, [submit] { submit(11, 70); });
+  if (after_restart > 0) {
+    h.cluster->scheduler().schedule_at(200'000, [submit, after_restart] {
+      submit(71, 70 + after_restart);
+    });
+  }
+}
+
 TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
   // The acceptance scenario for the snapshot subsystem, deterministic on
   // the simulator: p3 crashes early, freezing its applied watermark. With
   // snapshot_interval set, the survivors keep pruning decided values past
   // p3's crash point anyway (the snapshot floor overrides the frozen
-  // watermark), so when a factory-fresh p3 rejoins, the slots it needs
-  // are long gone — it must recover through SNAPSHOT_REQUEST/RESPONSE
-  // state transfer, then apply onward in order.
+  // watermark), so when a factory-fresh p3 rejoins the idle cluster, the
+  // slots it needs are long gone — it must learn where the cluster is
+  // through SMR_STATUS, recover through SNAPSHOT_REQUEST/RESPONSE state
+  // transfer, then apply later commands onward in order.
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
-  smr_options.max_batch = 1;          // one slot per command: many slots
+  smr_options.max_batch = 1;  // one slot per command: many slots
   smr_options.pipeline_depth = 2;
-  smr_options.target_commands = 0;    // keep replicating (noop slots keep
-                                      // gossip alive for the rejoiner)
   smr_options.snapshot_interval = 8;
   smr_options.snapshot_chunk_bytes = 64;  // force multi-chunk transfers
   std::map<ProcessId, std::vector<Slot>> applied_after_restart;
@@ -682,13 +784,7 @@ TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
   h.cluster->crash_at(3, 20'000);
   h.cluster->restart_at(3, 120'000);
   h.cluster->start();
-
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (std::uint64_t i = 1; i <= 30; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
-    }
-  });
+  submit_crash_schedule(h, /*after_restart=*/10);
 
   // Probe p3's apply cursor the moment it crashes: retention must later
   // shrink BELOW this pin, which pure watermark gossip could never do.
@@ -697,18 +793,28 @@ TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
     crash_cursor = h.nodes[3]->engine().next_to_apply();
   });
   h.cluster->scheduler().schedule_at(120'000, [&] { restarted = true; });
+  // The cluster is idle from well before the restart until t = 200k.
+  std::uint64_t installed_while_idle = 0;
+  std::uint64_t applied_while_idle = 0;
+  h.cluster->scheduler().schedule_at(199'999, [&] {
+    installed_while_idle = h.nodes[3]->engine().snapshots_installed();
+    applied_while_idle = h.nodes[3]->applied_commands();
+  });
 
   h.cluster->run_until(400'000);
 
   ASSERT_GT(crash_cursor, 1u) << "p3 must have applied something pre-crash";
+  EXPECT_GE(installed_while_idle, 1u)
+      << "the rejoin must not wait for new commands";
+  EXPECT_EQ(applied_while_idle, 70u);
 
   // The rejoined replica recovered through a snapshot, not replay.
   EXPECT_GE(h.nodes[3]->engine().snapshots_installed(), 1u);
-  EXPECT_EQ(h.nodes[3]->applied_commands(), 30u);
+  EXPECT_EQ(h.nodes[3]->applied_commands(), 80u);
   EXPECT_EQ(h.nodes[3]->store().state_digest(),
             h.nodes[0]->store().state_digest())
       << "the rejoined replica must converge to the survivors' state";
-  EXPECT_EQ(h.nodes[3]->store().get("key30"), "val30");
+  EXPECT_EQ(h.nodes[3]->store().get("key80"), "val80");
 
   // Post-restart applies happened strictly in slot order, starting past
   // the installed snapshot boundary (never from slot 1 again).
@@ -733,7 +839,8 @@ TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
 }
 
 TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
-  // Control for the test above: identical schedule, snapshots disabled.
+  // Control for the test above: the same crash and commands, no restart,
+  // snapshots disabled.
   // The crashed replica's frozen watermark pins every survivor's retention
   // at the crash point — the exact unbounded-growth failure mode the
   // snapshot subsystem removes.
@@ -741,16 +848,10 @@ TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
   SmrOptions smr_options;
   smr_options.max_batch = 1;
   smr_options.pipeline_depth = 2;
-  smr_options.target_commands = 0;
   SmrCluster h(cfg, smr_options, /*seed=*/5);
   h.cluster->crash_at(3, 20'000);
   h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (std::uint64_t i = 1; i <= 30; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
-    }
-  });
+  submit_crash_schedule(h, /*after_restart=*/0);
   Slot crash_cursor = 0;
   h.cluster->scheduler().schedule_at(20'000, [&] {
     crash_cursor = h.nodes[3]->engine().next_to_apply();
