@@ -142,10 +142,13 @@ void SlotMux::fill_window() {
 }
 
 void SlotMux::park_wrapped(Slot slot, ProcessId from, ByteView payload) {
-  // Anything past twice the maximum window cannot be honest skew — a
-  // correct peer's frontier is at most one window past ours once its
-  // watermark (our floor gossip) catches up — so treat it as flooding.
-  if (slot >= next_apply_ + 2 * static_cast<Slot>(max_window_depth())) return;
+  // Nothing past twice the maximum window is parked: ordinary skew stays
+  // within one window, so traffic beyond it is flooding or a sign that a
+  // fast quorum (n - t acks) left us behind.
+  if (slot >= next_apply_ + 2 * static_cast<Slot>(max_window_depth())) {
+    ask_peers_ahead();
+    return;
+  }
   auto& entries = parked_[slot];
   // A correct peer contributes a handful of messages per slot (propose,
   // ack, signed ack, commit, wishes); 6n entries cover every peer with
@@ -161,6 +164,30 @@ void SlotMux::park_wrapped(Slot slot, ProcessId from, ByteView payload) {
                     "engine stats are single-writer (host thread)");
     parked_high_water_.store(total, std::memory_order_relaxed);
   }
+}
+
+void SlotMux::ask_peers_ahead() {
+  // Past the horizon our slots decide only through the WISH path, one
+  // window per view-change timeout, which a busy cluster outruns; each
+  // slot of lag pins a decided value at every peer and a queued command
+  // here. Far behind, ask the f + 1 peers furthest ahead for a window of
+  // decided values (their on_status replies) rather than rejoin
+  // consensus, which costs a CPU-bound cluster more (docs/CATCHUP.md §5).
+  const Slot window = max_window_depth();
+  if (next_apply_ < lag_ask_until_ ||
+      catch_up_target() <= next_apply_ + kMaxLagWindows * window) {
+    return;
+  }
+  lag_ask_until_ = next_apply_ + window;
+  std::vector<ProcessId> peers;
+  for (ProcessId peer = 0; peer < ctx_.cfg.n; ++peer) {
+    if (peer != ctx_.id) peers.push_back(peer);
+  }
+  std::sort(peers.begin(), peers.end(), [this](ProcessId a, ProcessId b) {
+    return catchup_.watermark(a) > catchup_.watermark(b);
+  });
+  peers.resize(std::min<std::size_t>(ctx_.cfg.f + 1, peers.size()));
+  for (ProcessId peer : peers) send_status(peer, /*want_reply=*/true);
 }
 
 void SlotMux::replay_parked() {
@@ -558,9 +585,9 @@ void SlotMux::on_status(ProcessId from, ByteView payload) {
     }
   }
   // An idle replica that f + 1 peers report being ahead of asks what it
-  // missed: no slot traffic will tell it. A busy one is catching up
-  // through that traffic already, and asking under load is expensive
-  // (docs/CATCHUP.md §5).
+  // missed: no slot traffic will tell it. A busy one catches up through
+  // that traffic or, far behind, ask_peers_ahead; broadcast asks under
+  // load are expensive (docs/CATCHUP.md §5).
   if (active_.empty() && !catching_up_ && behind_peers()) request_status();
   // f + 1 peers past our cursor open the slots we are missing.
   fill_window();

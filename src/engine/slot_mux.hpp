@@ -57,6 +57,8 @@
 ///    watermark gossip; SMR_STATUS exchanges (request_status, the idle
 ///    check) tell a replica that fell behind it is behind, and what it
 ///    missed;
+///  * bounded lag — a replica far behind a busy cluster fetches decided
+///    values from f + 1 peers, so what its lag pins stays bounded;
 ///  * policy objects — client-command intake/dedup/claims (PendingQueue)
 ///    and decided-value/snapshot state transfer (CatchUpPolicy) live
 ///    behind the engine rather than in the client-facing SMR shell;
@@ -339,6 +341,7 @@ class SlotMux {
   void broadcast_wrapped(Slot slot, ByteView payload, bool include_self);
   void arm_idle_check(Duration delay);
   void on_idle_check();
+  void ask_peers_ahead();
   bool behind_peers() const { return catch_up_target() > next_apply_; }
 
   /// Defers `fn` to the host, guarded so a closure outliving this engine
@@ -415,6 +418,11 @@ class SlotMux {
   bool idle_check_armed_ = false;
   Slot idle_check_cursor_ = 0;
   Duration idle_check_delay_ = 0;
+
+  /// Bounded lag (ask_peers_ahead): past kMaxLagWindows windows of lag,
+  /// one window per ask, the next once `next_apply_` hits `lag_ask_until_`.
+  static constexpr Slot kMaxLagWindows = 8;
+  Slot lag_ask_until_ = 0;
 
   /// Liveness flag captured by deferred closures (see defer_guarded).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -736,6 +736,63 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
   EXPECT_EQ(h.nodes[3]->applied_commands(), 1u);
 }
 
+TEST(SmrCatchUp, BusyClusterKeepsLaggardWithinBoundedLag) {
+  // p3 is cut off for 20k ticks under a steady load of one command (one
+  // slot) per 100 ticks, then healed while the load goes on. n - t = 3
+  // acks decide without p3, and its slots' traffic is gone, so they
+  // decide only through the WISH path, one window per view-change
+  // timeout (~1.3k ticks): slower than the cluster's 10 slots per 1k
+  // ticks, so without the bounded-lag ask p3's lag, and with it every
+  // peer's retained decided values, grows for as long as the load lasts.
+  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+  SmrOptions smr_options;
+  smr_options.max_batch = 1;
+  smr_options.pipeline_depth = 4;
+  SmrCluster h(cfg, smr_options, /*seed=*/3);
+  h.cluster->start();
+  constexpr std::uint64_t kCommands = 1000;
+  for (std::uint64_t i = 1; i <= kCommands; ++i) {
+    h.cluster->scheduler().schedule_at(i * 100, [&h, i] {
+      h.nodes[0]->submit(Command::put("key" + std::to_string(i % 64),
+                                      "val" + std::to_string(i), 1, i));
+    });
+  }
+  h.cluster->scheduler().schedule_at(10'000, [&] {
+    h.cluster->network().set_partition({0, 0, 0, 1});
+  });
+  h.cluster->scheduler().schedule_at(30'000, [&] {
+    h.cluster->network().clear_partition();
+  });
+
+  // Well after the heal, while the load still runs: p3 stays within
+  // kMaxLagWindows (8) windows of 4 slots, plus the parking horizon's two
+  // windows it may drift past before the next ask (35 slots here; 701
+  // without the ask). p0 retains from p3's last gossiped watermark, which
+  // trails p3 by up to two more windows (39 retained; 703 without).
+  constexpr Slot kMaxLag = (8 + 2) * 4;
+  constexpr std::size_t kMaxRetained = (8 + 4) * 4;
+  Slot max_lag = 0;
+  std::size_t max_retained = 0;
+  for (TimePoint t = 60'000; t <= 100'000; t += 1'000) {
+    h.cluster->scheduler().schedule_at(t, [&] {
+      max_lag = std::max(max_lag, h.nodes[0]->engine().next_to_apply() -
+                                      h.nodes[3]->engine().next_to_apply());
+      max_retained = std::max(max_retained,
+                              h.nodes[0]->engine().catchup().decided_count());
+    });
+  }
+  h.cluster->run_until(100'000);
+  ASSERT_GT(h.nodes[0]->applied_commands(), 900u) << "the load must run";
+  EXPECT_LE(max_lag, kMaxLag);
+  EXPECT_LE(max_retained, kMaxRetained);
+
+  // Once the load stops, p3 converges.
+  h.cluster->run_until(400'000);
+  EXPECT_EQ(h.nodes[3]->applied_commands(), kCommands);
+  EXPECT_EQ(h.nodes[3]->store().state_digest(),
+            h.nodes[0]->store().state_digest());
+}
+
 // --- Snapshot state transfer: crash -> watermark pin -> rejoin -------------------
 
 /// The crash tests' workload, submitted through p0 one command per slot:
