@@ -2,8 +2,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -17,11 +16,17 @@
 /// batches instead of proposing the same commands `depth` times. Claims are
 /// released when their slot retires (dedup at apply time keeps duplicate
 /// proposals harmless either way; claims are purely a throughput measure).
+/// A cursor rests on the first claimable command and one hash index holds
+/// every id's dedup state, so claim() costs O(batch), has_unclaimed() O(1),
+/// and admit, applied and release O(1) however long the replica has run.
 
 namespace fastbft::engine {
 
 class PendingQueue {
  public:
+  PendingQueue() = default;
+  PendingQueue(const PendingQueue&) = delete;  // entries point into index_
+  PendingQueue& operator=(const PendingQueue&) = delete;
   /// (client_id, sequence) — the at-most-once identity of a command.
   using CommandId = std::pair<std::uint64_t, std::uint64_t>;
 
@@ -33,11 +38,12 @@ class PendingQueue {
   /// duplicates of anything already seen, and already-applied commands.
   bool admit(const smr::Command& cmd);
 
-  /// Claims up to `max_batch` unclaimed, unapplied commands for `slot`.
+  /// Claims the oldest `max_batch` unclaimed, unapplied commands for `slot`.
   /// May return fewer (or none) if the queue is drained or claimed.
   std::vector<smr::Command> claim(Slot slot, std::uint32_t max_batch);
 
   /// Releases `slot`'s claims (call when the slot's decision was applied).
+  /// Its unapplied commands become claimable again at their old places.
   void release(Slot slot);
 
   /// Records a decided command as applied by `slot`. Returns true on the
@@ -47,9 +53,7 @@ class PendingQueue {
   /// The applied-command dedup records in sorted id order — the
   /// deterministic state a snapshot must carry so an installing replica
   /// skips exactly the duplicates everyone else skipped.
-  std::vector<AppliedEntry> applied_ids() const {
-    return {applied_.begin(), applied_.end()};
-  }
+  std::vector<AppliedEntry> applied_ids() const;
 
   /// REPLACES the dedup state with a snapshot's (queued copies of its ids
   /// are dropped; nothing counts as a fresh application). A wholesale
@@ -72,31 +76,51 @@ class PendingQueue {
   void release_below(Slot floor);
 
   std::size_t pending_count() const { return pending_.size(); }
-  std::size_t claimed_count() const { return claimed_.size(); }
+  std::size_t claimed_count() const { return claimed_count_; }
 
   /// True when claim() would return at least one command — the signal
-  /// the engine opens slots by (slots open on demand). O(pending), which
-  /// stays window-sized in practice.
-  bool has_unclaimed() const {
-    for (const auto& cmd : pending_) {
-      CommandId id = id_of(cmd);
-      if (!applied_.contains(id) && !claimed_.contains(id)) return true;
-    }
-    return false;
-  }
+  /// the engine opens slots by (slots open on demand).
+  bool has_unclaimed() const { return cursor_ < head_ + pending_.size(); }
 
  private:
+  /// An id's dedup state; kNone marks "not applied" (no real slot is ~0).
+  static constexpr Slot kNone = ~Slot{0};
+  struct Record {
+    Slot slot = kNone;      // the slot that applied it (the pruning tag)
+    bool admitted = false;  // queued here at some point; never pruned
+  };
+  /// A queued command; its record (a stable index_ node) says if applied.
+  struct Entry {
+    smr::Command cmd;
+    const Record* record;
+    bool claimed = false;
+    bool claimable() const { return !claimed && record->slot == kNone; }
+  };
+  /// Absolute queue positions: p is pending_[p - head_] while queued.
+  using Pos = std::uint64_t;
+  struct IdHash {  // a client's sequences land in neighbouring buckets
+    std::size_t operator()(const CommandId& id) const noexcept {
+      return id.first * 0x9E3779B97F4A7C15ULL + id.second;
+    }
+  };
+
   static CommandId id_of(const smr::Command& cmd) {
     return {cmd.client_id, cmd.sequence};
   }
-  void trim_applied_prefix();
+  void unclaim(const std::vector<Pos>& positions);
+  /// Pops the applied prefix and moves the cursor to the first claimable
+  /// entry — every entry before it is claimed or applied.
+  void settle();
 
-  std::deque<smr::Command> pending_;
-  std::set<CommandId> seen_;
-  /// id -> slot that applied it (the horizon-pruning tag).
-  std::map<CommandId, Slot> applied_;
-  std::set<CommandId> claimed_;
-  std::map<Slot, std::vector<CommandId>> claims_by_slot_;
+  std::deque<Entry> pending_;
+  Pos head_ = 0;
+  Pos cursor_ = 0;
+  /// Every id admitted or applied; dropped only when neither holds.
+  std::unordered_map<CommandId, Record, IdHash> index_;
+  /// The applied records (index_ nodes): prune and export walk only these.
+  std::deque<std::pair<const CommandId, Record>*> applied_;
+  std::unordered_map<Slot, std::vector<Pos>> claims_by_slot_;
+  std::size_t claimed_count_ = 0;
 };
 
 }  // namespace fastbft::engine

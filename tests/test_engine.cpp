@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
+#include <set>
+
 #include "engine/adaptive.hpp"
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
@@ -7,7 +13,8 @@
 #include "engine/timer_wheel.hpp"
 
 /// Engine policy objects in isolation: the host-agnostic timer wheel
-/// (eager cancellation) and the catch-up policy's watermark-based
+/// (eager cancellation), the pending queue (differential against its
+/// ordered-tree predecessor) and the catch-up policy's watermark-based
 /// retention trimming plus snapshot retention/state transfer.
 
 namespace fastbft::engine {
@@ -175,6 +182,284 @@ TEST(PendingQueueTest, AppliedHorizonPruneIsDeterministicBySlotTag) {
   // A pruned id re-applies — identically on every replica, which is what
   // keeps the horizon safe against replays of ancient commands.
   EXPECT_TRUE(queue.applied(cmd(1), /*slot=*/12));
+}
+
+// --- PendingQueue against its ordered-tree predecessor ---------------------------
+
+/// The std::set/std::map PendingQueue the hash-indexed one replaced, kept
+/// verbatim as the oracle: every observable answer must match it.
+class TreePendingQueue {
+ public:
+  using CommandId = PendingQueue::CommandId;
+  using AppliedEntry = PendingQueue::AppliedEntry;
+
+  bool admit(const smr::Command& cmd) {
+    if (cmd.kind == smr::OpKind::Noop) return false;
+    CommandId id = id_of(cmd);
+    if (applied_.contains(id)) return false;
+    if (!seen_.insert(id).second) return false;
+    pending_.push_back(cmd);
+    return true;
+  }
+  std::vector<smr::Command> claim(Slot slot, std::uint32_t max_batch) {
+    std::vector<smr::Command> batch;
+    for (const auto& cmd : pending_) {
+      CommandId id = id_of(cmd);
+      if (applied_.contains(id) || claimed_.contains(id)) continue;
+      batch.push_back(cmd);
+      claimed_.insert(id);
+      claims_by_slot_[slot].push_back(id);
+      if (batch.size() >= max_batch) break;
+    }
+    return batch;
+  }
+  void release(Slot slot) {
+    auto it = claims_by_slot_.find(slot);
+    if (it == claims_by_slot_.end()) return;
+    for (const CommandId& id : it->second) claimed_.erase(id);
+    claims_by_slot_.erase(it);
+  }
+  bool applied(const smr::Command& cmd, Slot slot) {
+    if (!applied_.emplace(id_of(cmd), slot).second) return false;
+    trim_applied_prefix();
+    return true;
+  }
+  std::vector<AppliedEntry> applied_ids() const {
+    return {applied_.begin(), applied_.end()};
+  }
+  void restore_applied(const std::vector<AppliedEntry>& entries) {
+    applied_ = std::map<CommandId, Slot>(entries.begin(), entries.end());
+    trim_applied_prefix();
+  }
+  void prune_applied_before(Slot floor) {
+    for (auto it = applied_.begin(); it != applied_.end();) {
+      it = it->second < floor ? applied_.erase(it) : std::next(it);
+    }
+  }
+  void release_below(Slot floor) {
+    for (auto it = claims_by_slot_.begin();
+         it != claims_by_slot_.end() && it->first < floor;
+         it = claims_by_slot_.erase(it)) {
+      for (const CommandId& id : it->second) claimed_.erase(id);
+    }
+  }
+  std::size_t pending_count() const { return pending_.size(); }
+  std::size_t claimed_count() const { return claimed_.size(); }
+  bool has_unclaimed() const {
+    for (const auto& cmd : pending_) {
+      CommandId id = id_of(cmd);
+      if (!applied_.contains(id) && !claimed_.contains(id)) return true;
+    }
+    return false;
+  }
+
+ private:
+  static CommandId id_of(const smr::Command& cmd) {
+    return {cmd.client_id, cmd.sequence};
+  }
+  void trim_applied_prefix() {
+    while (!pending_.empty() && applied_.contains(id_of(pending_.front()))) {
+      pending_.pop_front();
+    }
+  }
+
+  std::deque<smr::Command> pending_;
+  std::set<CommandId> seen_;
+  std::map<CommandId, Slot> applied_;
+  std::set<CommandId> claimed_;
+  std::map<Slot, std::vector<CommandId>> claims_by_slot_;
+};
+
+/// Drives a PendingQueue and the oracle with the same calls and checks
+/// every return value and every observable after each call.
+class DiffQueue {
+ public:
+  bool admit(const smr::Command& cmd) {
+    return same(queue_.admit(cmd), oracle_.admit(cmd), "admit");
+  }
+  std::vector<smr::Command> claim(Slot slot, std::uint32_t max_batch) {
+    return same(queue_.claim(slot, max_batch), oracle_.claim(slot, max_batch),
+                "claim");
+  }
+  bool applied(const smr::Command& cmd, Slot slot) {
+    return same(queue_.applied(cmd, slot), oracle_.applied(cmd, slot),
+                "applied");
+  }
+  void release(Slot slot) {
+    queue_.release(slot);
+    oracle_.release(slot);
+    check("release");
+  }
+  void release_below(Slot floor) {
+    queue_.release_below(floor);
+    oracle_.release_below(floor);
+    check("release_below");
+  }
+  void prune_applied_before(Slot floor) {
+    queue_.prune_applied_before(floor);
+    oracle_.prune_applied_before(floor);
+    check("prune_applied_before");
+  }
+  void restore_applied(const std::vector<PendingQueue::AppliedEntry>& ids) {
+    queue_.restore_applied(ids);
+    oracle_.restore_applied(ids);
+    check("restore_applied");
+  }
+  const PendingQueue& queue() const { return queue_; }
+  const TreePendingQueue& oracle() const { return oracle_; }
+
+ private:
+  template <typename T>
+  T same(T got, const T& want, const char* call) {
+    EXPECT_EQ(got, want) << call;
+    check(call);
+    return got;
+  }
+  void check(const char* call) {
+    EXPECT_EQ(queue_.has_unclaimed(), oracle_.has_unclaimed()) << call;
+    EXPECT_EQ(queue_.pending_count(), oracle_.pending_count()) << call;
+    EXPECT_EQ(queue_.claimed_count(), oracle_.claimed_count()) << call;
+    EXPECT_EQ(queue_.applied_ids(), oracle_.applied_ids()) << call;
+  }
+
+  PendingQueue queue_;
+  TreePendingQueue oracle_;
+};
+
+smr::Command queued_cmd(std::uint64_t client, std::uint64_t seq) {
+  return smr::Command::put("k" + std::to_string(client) + "-" +
+                               std::to_string(seq),
+                           "v", client, seq);
+}
+
+std::vector<smr::Command> cmds(std::uint64_t client,
+                               std::vector<std::uint64_t> seqs) {
+  std::vector<smr::Command> out;
+  for (std::uint64_t seq : seqs) out.push_back(queued_cmd(client, seq));
+  return out;
+}
+
+TEST(PendingQueueDiff, ForeignDecisionReturnsClaimsInFifoOrder) {
+  DiffQueue q;
+  for (std::uint64_t seq = 1; seq <= 6; ++seq) q.admit(queued_cmd(1, seq));
+  EXPECT_EQ(q.claim(1, 3), cmds(1, {1, 2, 3}));
+  EXPECT_EQ(q.claim(2, 3), cmds(1, {4, 5, 6}));
+  EXPECT_FALSE(q.queue().has_unclaimed());
+  // Slot 1 decides another leader's batch: our claims come back, ahead of
+  // anything admitted later, in their original order.
+  EXPECT_TRUE(q.applied(queued_cmd(2, 1), 1));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 5), 1));
+  q.release(1);
+  q.admit(queued_cmd(1, 7));
+  EXPECT_EQ(q.claim(3, 8), cmds(1, {1, 2, 3, 7}));
+  q.release(2);
+  EXPECT_EQ(q.claim(4, 8), cmds(1, {4, 6}));
+  EXPECT_EQ(q.queue().claimed_count(), 6u);
+}
+
+TEST(PendingQueueDiff, AppliedCommandMidQueueIsSkippedNotPopped) {
+  DiffQueue q;
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) q.admit(queued_cmd(1, seq));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 3), 1));
+  EXPECT_EQ(q.queue().pending_count(), 5u);
+  EXPECT_EQ(q.claim(2, 8), cmds(1, {1, 2, 4, 5}));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 1), 2));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 2), 2));
+  EXPECT_EQ(q.queue().pending_count(), 2u);  // 1..3 popped together
+  EXPECT_FALSE(q.applied(queued_cmd(1, 2), 3));
+  EXPECT_FALSE(q.admit(queued_cmd(1, 4)));
+}
+
+TEST(PendingQueueDiff, RestoreAppliedDropsQueuedCopiesAndUnappliesOthers) {
+  DiffQueue q;
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) q.admit(queued_cmd(1, seq));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 4), 3));
+  EXPECT_EQ(q.claim(7, 1), cmds(1, {1}));
+  // The snapshot set replaces ours: 1 and 2 count as applied (their
+  // queued copies go), while 4, applied only locally, is claimable again.
+  q.restore_applied({{{1, 1}, 2}, {{1, 2}, 2}, {{9, 9}, 1}});
+  EXPECT_EQ(q.queue().pending_count(), 3u);
+  EXPECT_EQ(q.claim(8, 8), cmds(1, {3, 4, 5}));
+  q.release_below(8);
+  EXPECT_EQ(q.queue().claimed_count(), 3u);
+  EXPECT_FALSE(q.admit(queued_cmd(9, 9)));
+}
+
+TEST(PendingQueueDiff, RetryIsReadmittedOnlyIfNeverQueuedHere) {
+  DiffQueue q;
+  // Decided elsewhere, never queued here: once pruned, a retry of it is
+  // admitted (and re-applies, identically on every replica).
+  EXPECT_TRUE(q.applied(queued_cmd(2, 1), 2));
+  EXPECT_FALSE(q.admit(queued_cmd(2, 1)));
+  // Queued here, applied, pruned: still refused, as before.
+  q.admit(queued_cmd(1, 1));
+  EXPECT_TRUE(q.applied(queued_cmd(1, 1), 3));
+  q.prune_applied_before(5);
+  EXPECT_TRUE(q.queue().applied_ids().empty());
+  EXPECT_TRUE(q.admit(queued_cmd(2, 1)));
+  EXPECT_FALSE(q.admit(queued_cmd(1, 1)));
+  EXPECT_EQ(q.claim(6, 4), cmds(2, {1}));
+  // A prune that un-applies a command still queued makes it claimable.
+  q.admit(queued_cmd(3, 1));
+  q.admit(queued_cmd(3, 2));
+  EXPECT_TRUE(q.applied(queued_cmd(3, 2), 4));
+  EXPECT_EQ(q.claim(7, 4), cmds(3, {1}));
+  q.prune_applied_before(5);
+  EXPECT_EQ(q.claim(8, 4), cmds(3, {2}));
+}
+
+TEST(PendingQueueDiff, SeededRandomCallSequencesMatchTheOracle) {
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    DiffQueue q;
+    std::vector<smr::Command> claimed;  // what proposals carried
+    Slot slot = 1;
+    for (int step = 0; step < 400 && !::testing::Test::HasFailure(); ++step) {
+      auto any_cmd = [&] { return queued_cmd(1 + pick(3), 1 + pick(40)); };
+      switch (pick(15)) {
+        case 0: case 1: case 2: case 3:
+          q.admit(pick(20) == 0 ? smr::Command::noop() : any_cmd());
+          break;
+        case 4: case 5: case 6: {
+          auto max_batch = static_cast<std::uint32_t>(pick(6));
+          auto batch = q.claim(slot + pick(8), max_batch);
+          claimed.insert(claimed.end(), batch.begin(), batch.end());
+          break;
+        }
+        case 7: case 8: case 9:
+          // Mostly decide commands some proposal carried, sometimes a
+          // foreign one.
+          q.applied(claimed.empty() || pick(4) == 0
+                        ? any_cmd()
+                        : claimed[pick(claimed.size())],
+                    slot + pick(8));
+          break;
+        case 10: case 11:
+          q.release(slot + pick(8));
+          break;
+        case 12:
+          slot += pick(3);
+          q.release_below(slot);
+          break;
+        case 13:
+          q.prune_applied_before(slot + pick(8));
+          break;
+        default: {  // a snapshot install
+          std::vector<PendingQueue::AppliedEntry> ids;
+          for (const auto& entry : q.oracle().applied_ids()) {
+            if (pick(3) != 0) ids.push_back(entry);
+          }
+          if (pick(2) == 0) ids.push_back({{1 + pick(3), 1 + pick(40)}, slot});
+          std::sort(ids.begin(), ids.end());
+          q.restore_applied(ids);
+          break;
+        }
+      }
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure());
+  }
 }
 
 // --- CatchUpPolicy snapshot retention & state transfer ---------------------------
