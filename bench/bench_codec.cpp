@@ -49,7 +49,8 @@ void BM_ParsePropose(benchmark::State& state) {
 BENCHMARK(BM_ParsePropose);
 
 void BM_ParseAck(benchmark::State& state) {
-  Bytes wire = AckMsg{4, Value::of_string("v")}.serialize();
+  Bytes wire =
+      AckMsg{4, xv_preimage_digest(Value::of_string("v"), 4)}.serialize();
   for (auto _ : state) {
     benchmark::DoNotOptimize(parse_message(wire));
   }

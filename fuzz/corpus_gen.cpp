@@ -72,14 +72,24 @@ void gen_message(const fs::path& root) {
 
   consensus::AckMsg ack;
   ack.v = 3;
-  ack.x = sample_batch();
+  ack.d = consensus::xv_preimage_digest(sample_batch(), 3);
   write_seed(dir, "ack", ack.serialize());
 
   consensus::AckSigMsg acksig;
   acksig.v = 4;
-  acksig.x = Value::of_string("x");
+  acksig.d = consensus::xv_preimage_digest(Value::of_string("x"), 4);
   acksig.phi_ack = fake_sig(0x22);
   write_seed(dir, "acksig", acksig.serialize());
+
+  consensus::ValueReqMsg value_req;
+  value_req.v = 3;
+  value_req.d = ack.d;
+  write_seed(dir, "value_req", value_req.serialize());
+
+  consensus::ValueMsg value;
+  value.v = 3;
+  value.x = sample_batch();
+  write_seed(dir, "value", value.serialize());
 
   consensus::CommitMsg commit;
   commit.v = 4;
@@ -148,7 +158,7 @@ void gen_frame(const fs::path& root) {
   stream.insert(stream.end(), hs_frame.begin(), hs_frame.end());
   consensus::AckMsg ack;
   ack.v = 2;
-  ack.x = Value::of_string("x");
+  ack.d = consensus::xv_preimage_digest(Value::of_string("x"), 2);
   Bytes msg_frame = *writer.frame(ack.serialize());
   stream.insert(stream.end(), msg_frame.begin(), msg_frame.end());
   Bytes heartbeat = *writer.frame(ByteView());

@@ -11,13 +11,13 @@
 ///
 /// Three nested layers are exercised, mirroring the real inbound path:
 ///
-///   1. consensus::parse_message over the raw payload — the seven core
+///   1. consensus::parse_message over the raw payload — the nine core
 ///      protocol tags, each with certificates/signature vectors inside.
 ///   2. The SMR_WRAPPED envelope decode (tag, group, slot, watermark,
 ///      snapshot floor, length-prefixed inner) with the inner payload
 ///      parsed as a consensus message THROUGH THE VIEW — no copy — which
 ///      is the aliasing pattern SlotMux::on_wrapped relies on.
-///   3. smr::decode_batch over any Value a ProposeMsg/AckMsg carried,
+///   3. smr::decode_batch over any Value a ProposeMsg/ValueMsg carried,
 ///      the batch layer a decided value flows into.
 ///
 /// The contract under test: decoding is total. Any input either yields a
@@ -58,9 +58,9 @@ void exercise_consensus(ByteView payload) {
   if (const auto* propose =
           std::get_if<fastbft::consensus::ProposeMsg>(&*msg)) {
     exercise_batch(propose->x);
-  } else if (const auto* ack =
-                 std::get_if<fastbft::consensus::AckMsg>(&*msg)) {
-    exercise_batch(ack->x);
+  } else if (const auto* value =
+                 std::get_if<fastbft::consensus::ValueMsg>(&*msg)) {
+    exercise_batch(value->x);
   }
 }
 

@@ -42,8 +42,8 @@ class EquivocatingLeader final : public runtime::IProcess {
     }
 
     // Back both of its own stories with acknowledgments.
-    consensus::AckMsg ack_a{1, value_a_};
-    consensus::AckMsg ack_b{1, value_b_};
+    consensus::AckMsg ack_a{1, consensus::xv_preimage_digest(value_a_, 1)};
+    consensus::AckMsg ack_b{1, consensus::xv_preimage_digest(value_b_, 1)};
     endpoint_->broadcast(ack_a.serialize());
     endpoint_->broadcast(ack_b.serialize());
   }
@@ -71,7 +71,8 @@ class PromiscuousAcker final : public runtime::IProcess {
     auto parsed = consensus::parse_message(payload);
     if (!parsed) return;
     if (const auto* propose = std::get_if<consensus::ProposeMsg>(&*parsed)) {
-      consensus::AckMsg ack{propose->v, propose->x};
+      consensus::AckMsg ack{propose->v, consensus::xv_preimage_digest(
+                                            propose->x, propose->v)};
       endpoint_->broadcast(ack.serialize());
     }
   }

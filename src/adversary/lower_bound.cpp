@@ -134,7 +134,7 @@ LowerBoundOutcome run_lower_bound_attack(std::uint32_t n) {
 
   // --- Round 2: the early decider assembles a fast quorum for x -------------
   // Ackers of x: the A-group (p3..p_{n-2}) plus both Byzantine processes.
-  consensus::AckMsg byz_ack{1, x};
+  consensus::AckMsg byz_ack{1, consensus::xv_preimage_digest(x, 1)};
   Bytes byz_ack_wire = byz_ack.serialize();
   cluster.deliver(leader1, early_decider, byz_ack_wire);
   cluster.deliver(accomplice, early_decider, byz_ack_wire);

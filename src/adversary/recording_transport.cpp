@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "net/stats.hpp"
 #include "net/tags.hpp"
 
 namespace fastbft::adversary {
@@ -22,32 +23,6 @@ WireKind classify_payload(ByteView payload) {
                  (static_cast<GroupId>(payload[4]) << 24);
   }
   return kind;
-}
-
-std::string tag_name(std::uint8_t tag) {
-  using namespace net::tags;
-  switch (tag) {
-    case kPropose: return "PROPOSE";
-    case kAck: return "ACK";
-    case kAckSig: return "ACK_SIG";
-    case kCommit: return "COMMIT";
-    case kVote: return "VOTE";
-    case kCertReq: return "CERT_REQ";
-    case kCertAck: return "CERT_ACK";
-    case kWish: return "WISH";
-    case kSmrRequest: return "SMR_REQUEST";
-    case kSmrWrapped: return "SMR_WRAPPED";
-    case kSmrDecided: return "SMR_DECIDED";
-    case kSmrSnapRequest: return "SMR_SNAP_REQ";
-    case kSmrSnapResponse: return "SMR_SNAP_RESP";
-    case kSmrReply: return "SMR_REPLY";
-    case kSmrStatus: return "SMR_STATUS";
-    default: {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "TAG_%02X", tag);
-      return buf;
-    }
-  }
 }
 
 void EnvelopeLog::record(const net::Envelope& env, TimePoint sent,
@@ -100,12 +75,12 @@ std::string EnvelopeLog::dump(std::size_t max_lines) const {
       std::snprintf(line, sizeof(line),
                     "[%8" PRId64 " -> %8" PRId64 "] %3u -> %3u  %-13s g%-3u %u B\n",
                     r.sent, r.delivered, r.from, r.to,
-                    tag_name(r.kind.tag).c_str(), r.kind.group, r.bytes);
+                    net::tag_name(r.kind.tag).c_str(), r.kind.group, r.bytes);
     } else {
       std::snprintf(line, sizeof(line),
                     "[%8" PRId64 " -> %8" PRId64 "] %3u -> %3u  %-13s      %u B\n",
                     r.sent, r.delivered, r.from, r.to,
-                    tag_name(r.kind.tag).c_str(), r.bytes);
+                    net::tag_name(r.kind.tag).c_str(), r.bytes);
     }
     out += line;
   }

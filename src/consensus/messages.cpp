@@ -1,5 +1,7 @@
 #include "consensus/messages.hpp"
 
+#include <algorithm>
+
 namespace fastbft::consensus {
 
 namespace {
@@ -10,6 +12,17 @@ Bytes with_tag(std::uint8_t tag, const Body& body) {
   enc.u8(tag);
   body(enc);
   return std::move(enc).take();
+}
+
+void encode_digest(Encoder& enc, const crypto::Digest& d) {
+  enc.bytes(ByteView(d.data(), d.size()));
+}
+
+bool decode_digest(Decoder& dec, crypto::Digest& d) {
+  ByteView b = dec.bytes_view();
+  if (!dec.ok() || b.size() != d.size()) return false;
+  std::copy(b.begin(), b.end(), d.begin());
+  return true;
 }
 
 }  // namespace
@@ -45,16 +58,14 @@ std::optional<ProposeMsg> ProposeMsg::decode(Decoder& dec) {
 Bytes AckMsg::serialize() const {
   return with_tag(net::tags::kAck, [&](Encoder& enc) {
     enc.u64(v);
-    x.encode(enc);
+    encode_digest(enc, d);
   });
 }
 
 std::optional<AckMsg> AckMsg::decode(Decoder& dec) {
   AckMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
-  if (!x) return std::nullopt;
-  m.x = std::move(*x);
+  if (!decode_digest(dec, m.d)) return std::nullopt;
   return m;
 }
 
@@ -63,7 +74,7 @@ std::optional<AckMsg> AckMsg::decode(Decoder& dec) {
 Bytes AckSigMsg::serialize() const {
   return with_tag(net::tags::kAckSig, [&](Encoder& enc) {
     enc.u64(v);
-    x.encode(enc);
+    encode_digest(enc, d);
     phi_ack.encode(enc);
   });
 }
@@ -71,9 +82,7 @@ Bytes AckSigMsg::serialize() const {
 std::optional<AckSigMsg> AckSigMsg::decode(Decoder& dec) {
   AckSigMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
-  if (!x) return std::nullopt;
-  m.x = std::move(*x);
+  if (!decode_digest(dec, m.d)) return std::nullopt;
   auto sig = crypto::Signature::decode(dec);
   if (!sig) return std::nullopt;
   m.phi_ack = std::move(*sig);
@@ -174,6 +183,38 @@ std::optional<CertAckMsg> CertAckMsg::decode(Decoder& dec) {
   return m;
 }
 
+// --- ValueReqMsg / ValueMsg ------------------------------------------------
+
+Bytes ValueReqMsg::serialize() const {
+  return with_tag(net::tags::kValueReq, [&](Encoder& enc) {
+    enc.u64(v);
+    encode_digest(enc, d);
+  });
+}
+
+std::optional<ValueReqMsg> ValueReqMsg::decode(Decoder& dec) {
+  ValueReqMsg m;
+  m.v = dec.u64();
+  if (!decode_digest(dec, m.d)) return std::nullopt;
+  return m;
+}
+
+Bytes ValueMsg::serialize() const {
+  return with_tag(net::tags::kValue, [&](Encoder& enc) {
+    enc.u64(v);
+    x.encode(enc);
+  });
+}
+
+std::optional<ValueMsg> ValueMsg::decode(Decoder& dec) {
+  ValueMsg m;
+  m.v = dec.u64();
+  auto x = Value::decode(dec);
+  if (!x) return std::nullopt;
+  m.x = std::move(*x);
+  return m;
+}
+
 // --- parse ------------------------------------------------------------------
 
 namespace {
@@ -197,6 +238,8 @@ std::optional<Message> parse_message(ByteView payload) {
     case net::tags::kVote: return finish<VoteMsg>(dec);
     case net::tags::kCertReq: return finish<CertReqMsg>(dec);
     case net::tags::kCertAck: return finish<CertAckMsg>(dec);
+    case net::tags::kValueReq: return finish<ValueReqMsg>(dec);
+    case net::tags::kValue: return finish<ValueMsg>(dec);
     default: return std::nullopt;
   }
 }

@@ -27,9 +27,11 @@ struct ProposeMsg {
 };
 
 /// ack(x, v) — unsigned acknowledgment broadcast on accepting a proposal.
+/// Names x by d = xv_preimage_digest(x, v), the digest every signer of
+/// (x, v) already hashes: the batch travels in Propose and Commit only.
 struct AckMsg {
   View v = kNoView;
-  Value x;
+  crypto::Digest d{};
 
   Bytes serialize() const;
   static std::optional<AckMsg> decode(Decoder& dec);
@@ -39,7 +41,7 @@ struct AckMsg {
 /// ack, sent separately so signing latency never delays the fast path.
 struct AckSigMsg {
   View v = kNoView;
-  Value x;
+  crypto::Digest d{};  // as in AckMsg; phi_ack signs exactly this digest
   crypto::Signature phi_ack;
 
   Bytes serialize() const;
@@ -88,8 +90,28 @@ struct CertAckMsg {
   static std::optional<CertAckMsg> decode(Decoder& dec);
 };
 
+/// ValueReq(v, d) — asks the members of a quorum for the (v, d) the asker
+/// cannot resolve to a value (it never received the matching proposal).
+struct ValueReqMsg {
+  View v = kNoView;
+  crypto::Digest d{};
+
+  Bytes serialize() const;
+  static std::optional<ValueReqMsg> decode(Decoder& dec);
+};
+
+/// Value(v, x) — the answer to a ValueReq; self-certifying, because the
+/// receiver recomputes d from (x, v).
+struct ValueMsg {
+  View v = kNoView;
+  Value x;
+
+  Bytes serialize() const;
+  static std::optional<ValueMsg> decode(Decoder& dec);
+};
+
 using Message = std::variant<ProposeMsg, AckMsg, AckSigMsg, CommitMsg, VoteMsg,
-                             CertReqMsg, CertAckMsg>;
+                             CertReqMsg, CertAckMsg, ValueReqMsg, ValueMsg>;
 
 /// Parses a full payload (tag + body). Returns nullopt for unknown tags,
 /// truncated or trailing bytes. Takes a view so wrapped/nested payloads

@@ -1,6 +1,7 @@
 #include "consensus/replica.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -9,6 +10,8 @@ namespace fastbft::consensus {
 
 namespace {
 std::string who(ProcessId id) { return "replica-" + std::to_string(id); }
+
+template <class... F> struct Overloaded : F... { using F::operator()...; };
 }  // namespace
 
 Replica::Replica(QuorumConfig cfg, ProcessId id, Value input,
@@ -49,10 +52,12 @@ bool Replica::buffer_if_future(ProcessId from, const Message& msg,
                                ByteView payload) {
   // Acks, signed acks and Commits are decision evidence: they remain
   // meaningful for views we already left or have not reached, so they are
-  // never buffered. Everything else is view-scoped.
-  if (std::holds_alternative<AckMsg>(msg) ||
-      std::holds_alternative<AckSigMsg>(msg) ||
-      std::holds_alternative<CommitMsg>(msg)) {
+  // never buffered, and neither is the value fetch that serves them. The
+  // rest is view-scoped.
+  if (!std::holds_alternative<ProposeMsg>(msg) &&
+      !std::holds_alternative<VoteMsg>(msg) &&
+      !std::holds_alternative<CertReqMsg>(msg) &&
+      !std::holds_alternative<CertAckMsg>(msg)) {
     return false;
   }
   View v = message_view(msg);
@@ -94,26 +99,20 @@ void Replica::replay_buffered() {
 }
 
 void Replica::handle(ProcessId from, const Message& msg) {
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ProposeMsg>) {
-          handle_propose(from, m);
-        } else if constexpr (std::is_same_v<T, AckMsg>) {
-          handle_ack(from, m);
-        } else if constexpr (std::is_same_v<T, AckSigMsg>) {
-          handle_ack_sig(from, m);
-        } else if constexpr (std::is_same_v<T, CommitMsg>) {
-          handle_commit(from, m);
-        } else if constexpr (std::is_same_v<T, VoteMsg>) {
-          handle_vote(from, m);
-        } else if constexpr (std::is_same_v<T, CertReqMsg>) {
-          handle_cert_req(from, m);
-        } else if constexpr (std::is_same_v<T, CertAckMsg>) {
-          handle_cert_ack(from, m);
-        }
-      },
-      msg);
+  // One arm per alternative: a message type without a handler does not
+  // compile.
+  std::visit(Overloaded{
+                 [&](const ProposeMsg& m) { handle_propose(from, m); },
+                 [&](const AckMsg& m) { handle_ack(from, m); },
+                 [&](const AckSigMsg& m) { handle_ack_sig(from, m); },
+                 [&](const CommitMsg& m) { handle_commit(from, m); },
+                 [&](const VoteMsg& m) { handle_vote(from, m); },
+                 [&](const CertReqMsg& m) { handle_cert_req(from, m); },
+                 [&](const CertAckMsg& m) { handle_cert_ack(from, m); },
+                 [&](const ValueReqMsg& m) { handle_value_req(from, m); },
+                 [&](const ValueMsg& m) { handle_value(m); },
+             },
+             msg);
 }
 
 void Replica::enter_view(View v) {
@@ -146,11 +145,10 @@ void Replica::send_vote_to(ProcessId leader, View v) {
 // --- Fast path --------------------------------------------------------------
 
 const crypto::Digest& Replica::xv_digest(View v, const Value& x) {
-  if (!xv_digest_memo_ || xv_digest_memo_->first.first != v ||
-      xv_digest_memo_->first.second != x.bytes()) {
-    xv_digest_memo_.emplace(key_of(v, x), xv_preimage_digest(x, v));
+  if (!xv_digest_memo_ || xv_digest_memo_->v != v || xv_digest_memo_->x != x) {
+    xv_digest_memo_ = XvMemo{v, x, xv_preimage_digest(x, v)};
   }
-  return xv_digest_memo_->second;
+  return xv_digest_memo_->d;
 }
 
 void Replica::send_proposal(const Value& x, ProgressCert sigma) {
@@ -189,37 +187,72 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
   // proposal this process acknowledged).
   vote_ = Vote::of(msg.x, msg.v, msg.sigma, msg.tau);
 
-  AckMsg ack;
-  ack.v = msg.v;
-  ack.x = msg.x;
-  transport_.broadcast(ack.serialize());
+  const XvKey key{msg.v, xv_digest(msg.v, msg.x)};
+  transport_.broadcast(AckMsg{msg.v, key.second}.serialize());
 
   if (options_.slow_path) {
-    AckSigMsg sig;
-    sig.v = msg.v;
-    sig.x = msg.x;
-    sig.phi_ack = signer_.sign_digest(kDomAck, xv_digest(msg.v, msg.x));
+    AckSigMsg sig{msg.v, key.second, signer_.sign_digest(kDomAck, key.second)};
     // Our own signature goes straight into the collection — the loopback
     // copy is ignored in handle_ack_sig, so a forged self acksig can
-    // never displace the genuine one. Ours may be the signature that
-    // completes the commit quorum (peers' acksigs can arrive before a
-    // delayed proposal does), so check for assembly here too.
-    auto key = key_of(msg.v, msg.x);
+    // never displace the genuine one.
     ack_sigs_[key].emplace(id_, sig.phi_ack);
     transport_.broadcast(sig.serialize());
-    maybe_assemble_commit_cert(key);
   }
+  // Peers' acks and acksigs can arrive before a delayed proposal does;
+  // their quorums complete now that the digest resolves.
+  learn_value(key, msg.x);
 }
 
 void Replica::handle_ack(ProcessId from, const AckMsg& msg) {
   if (decision_) return;  // quorum bookkeeping is over
-  if (msg.x.empty() || msg.v == kNoView) return;
-  auto key = key_of(msg.v, msg.x);
+  if (msg.v == kNoView) return;
+  const XvKey key{msg.v, msg.d};
   auto& ackers = acks_[key];
   ackers.insert(from);
-  if (ackers.size() >= cfg_.fast_quorum()) {
-    decide(msg.x, msg.v, /*slow=*/false);
+  if (ackers.size() < cfg_.fast_quorum()) return;
+  auto known = known_values_.find(key);
+  if (known != known_values_.end()) {
+    decide(known->second, msg.v, /*slow=*/false);
+  } else {
+    request_value(key, ackers);
   }
+}
+
+void Replica::learn_value(const XvKey& key, const Value& x) {
+  known_values_.try_emplace(key, x);
+  auto acked = acks_.find(key);
+  if (acked != acks_.end() && acked->second.size() >= cfg_.fast_quorum()) {
+    decide(x, key.first, /*slow=*/false);
+  }
+  maybe_assemble_commit_cert(key);
+}
+
+// --- Value fetch: a quorum for a digest we cannot resolve (the other side of
+// an equivocation, a proposal that never reached us) has >= quorum - f
+// correct members that know the value; one self-certifying reply suffices.
+
+template <typename Holders>
+void Replica::request_value(const XvKey& key, const Holders& holders) {
+  if (!value_reqs_sent_.insert(key).second) return;
+  SharedBytes req = ValueReqMsg{key.first, key.second}.serialize();
+  for (ProcessId p : holders) {
+    if (p != id_) transport_.send(p, req);
+  }
+}
+
+void Replica::handle_value_req(ProcessId from, const ValueReqMsg& msg) {
+  const XvKey key{msg.v, msg.d};
+  auto known = known_values_.find(key);
+  if (known == known_values_.end()) return;
+  if (!value_replies_sent_.emplace(from, key).second) return;
+  transport_.send(from, ValueMsg{msg.v, known->second}.serialize());
+}
+
+void Replica::handle_value(const ValueMsg& msg) {
+  if (msg.x.empty()) return;
+  const XvKey key{msg.v, xv_digest(msg.v, msg.x)};
+  if (!value_reqs_sent_.contains(key) || known_values_.contains(key)) return;
+  learn_value(key, msg.x);
 }
 
 // --- Slow path (Appendix A) -------------------------------------------------
@@ -228,35 +261,37 @@ void Replica::handle_ack_sig(ProcessId from, const AckSigMsg& msg) {
   if (!options_.slow_path) return;
   // Our own signature was recorded at signing time (handle_propose); the
   // loopback — or anything forged onto the self channel — is ignored.
-  // (Checked before building the value-sized map key: this exit is free.)
   if (from == id_) return;
-  if (msg.x.empty() || msg.v == kNoView) return;
-  auto key = key_of(msg.v, msg.x);
+  if (msg.v == kNoView) return;
+  const XvKey key{msg.v, msg.d};
   // Collection continues even after a fast-path decision — the commit
   // certificate this assembles is broadcast exactly once and doubles as
   // the catch-up stream that keeps lagging replicas at the live frontier
   // (see SlotMux). But once OUR Commit went out, further signed acks for
-  // this (view, value) buy nothing: skip their HMACs. Peers' signatures
-  // check against the shared (x, v) digest, hashed once per proposal
-  // instead of once per message.
+  // this (view, value) buy nothing: skip their HMACs. The signature is
+  // over the digest the message carries: no hash, no value needed.
   if (commit_sent_.contains(key)) return;
-  if (!verifier_.verify_digest(from, kDomAck, xv_digest(msg.v, msg.x),
-                               msg.phi_ack)) {
-    return;
-  }
+  if (!verifier_.verify_digest(from, kDomAck, msg.d, msg.phi_ack)) return;
   ack_sigs_[key].emplace(from, msg.phi_ack);
   maybe_assemble_commit_cert(key);
 }
 
-void Replica::maybe_assemble_commit_cert(const ValueKey& key) {
-  const auto& sigs = ack_sigs_[key];
+void Replica::maybe_assemble_commit_cert(const XvKey& key) {
+  auto collected = ack_sigs_.find(key);
+  if (collected == ack_sigs_.end()) return;
+  const auto& sigs = collected->second;
   if (sigs.size() < cfg_.commit_quorum()) return;
   if (commit_sent_.contains(key)) return;
+  auto known = known_values_.find(key);
+  if (known == known_values_.end()) {
+    request_value(key, std::views::keys(sigs));
+    return;
+  }
   commit_sent_.insert(key);
 
   CommitCert cc;
   cc.v = key.first;
-  cc.x = Value(key.second);
+  cc.x = known->second;
   for (const auto& [signer, sig] : sigs) {
     cc.sigs.push_back(SignatureEntry{signer, sig});
     if (cc.sigs.size() == cfg_.commit_quorum()) break;
@@ -278,9 +313,10 @@ void Replica::handle_commit(ProcessId from, const CommitMsg& msg) {
   if (!options_.slow_path) return;
   if (decision_) return;  // see handle_ack_sig
   if (msg.cc.x != msg.x || msg.cc.v != msg.v) return;
-  if (!verify_commit_cert(verifier_, cfg_, msg.cc)) return;
+  const XvKey key{msg.v, xv_digest(msg.v, msg.x)};
+  if (!verify_commit_cert(verifier_, cfg_, msg.cc, &key.second)) return;
   adopt_cc(msg.cc);
-  auto key = key_of(msg.v, msg.x);
+  learn_value(key, msg.x);
   auto& senders = commit_senders_[key];
   senders.insert(from);
   if (senders.size() >= cfg_.commit_quorum()) {

@@ -99,7 +99,8 @@ class Replica {
     bool proposed = false;
   };
 
-  using ValueKey = std::pair<View, Bytes>;
+  /// A (view, value) pair named by its (x, v) digest, as acks name it.
+  using XvKey = std::pair<View, crypto::Digest>;
 
   void handle(ProcessId from, const Message& msg);
   void handle_propose(ProcessId from, const ProposeMsg& msg);
@@ -109,6 +110,8 @@ class Replica {
   void handle_vote(ProcessId from, const VoteMsg& msg);
   void handle_cert_req(ProcessId from, const CertReqMsg& msg);
   void handle_cert_ack(ProcessId from, const CertAckMsg& msg);
+  void handle_value_req(ProcessId from, const ValueReqMsg& msg);
+  void handle_value(const ValueMsg& msg);
 
   /// Leader: re-runs selection on the collected votes and, once it
   /// resolves, starts the certification round (or proposes directly when
@@ -120,21 +123,26 @@ class Replica {
 
   void send_vote_to(ProcessId leader, View v);
   void decide(const Value& x, View v, bool slow);
-  void maybe_assemble_commit_cert(const ValueKey& key);
+  void maybe_assemble_commit_cert(const XvKey& key);
+
+  /// Records that `key` names `x` (accepted proposal, verified Commit or
+  /// solicited Value) and completes the quorums that waited for it.
+  void learn_value(const XvKey& key, const Value& x);
+
+  /// Sends ValueReq(key) once, to the quorum members in `holders`.
+  template <typename Holders>
+  void request_value(const XvKey& key, const Holders& holders);
+
   void adopt_cc(const CommitCert& cc);
 
   bool buffer_if_future(ProcessId from, const Message& msg, ByteView payload);
   void replay_buffered();
 
   /// One-slot memo of the shared (x, v) preimage digest: the proposal
-  /// check, our signed ack, every peer's signed ack and the certificate
-  /// entries for the accepted proposal all hash the same batch-sized
-  /// preimage — compute it once per (view, value) instead of per message.
+  /// check, our acks and the Commit check for the accepted proposal all
+  /// need the digest of the same batch-sized preimage — compute it once
+  /// per (view, value) instead of per message.
   const crypto::Digest& xv_digest(View v, const Value& x);
-
-  static ValueKey key_of(View v, const Value& x) {
-    return {v, x.bytes()};
-  }
 
   QuorumConfig cfg_;
   ProcessId id_;
@@ -154,22 +162,31 @@ class Replica {
   /// Views in which a proposal was already accepted (first one wins).
   std::set<View> proposal_accepted_;
 
-  /// Fast-path ack bookkeeping: (view, value) -> ackers.
-  std::map<ValueKey, std::set<ProcessId>> acks_;
+  /// Fast-path ack bookkeeping: (view, digest) -> ackers.
+  std::map<XvKey, std::set<ProcessId>> acks_;
 
-  /// Slow-path signed acks: (view, value) -> signer -> signature.
-  std::map<ValueKey, std::map<ProcessId, crypto::Signature>> ack_sigs_;
+  /// Slow-path signed acks: (view, digest) -> signer -> signature.
+  std::map<XvKey, std::map<ProcessId, crypto::Signature>> ack_sigs_;
 
-  /// Slow-path Commit senders: (view, value) -> senders with a valid cc.
-  std::map<ValueKey, std::set<ProcessId>> commit_senders_;
+  /// Slow-path Commit senders: (view, digest) -> senders with a valid cc.
+  std::map<XvKey, std::set<ProcessId>> commit_senders_;
 
-  /// (view, value) pairs for which we already broadcast Commit.
-  std::set<ValueKey> commit_sent_;
+  /// (view, digest) pairs for which we already broadcast Commit.
+  std::set<XvKey> commit_sent_;
+
+  /// Values we know, by the digest acks name them with. A fast or commit
+  /// quorum for a key decides or certifies only once the key resolves here.
+  std::map<XvKey, Value> known_values_;
+
+  /// Keys we sent a ValueReq for, and (requester, key) pairs we answered.
+  std::set<XvKey> value_reqs_sent_;
+  std::set<std::pair<ProcessId, XvKey>> value_replies_sent_;
 
   std::optional<LeaderState> leader_state_;
 
-  /// Backing store of xv_digest().
-  std::optional<std::pair<ValueKey, crypto::Digest>> xv_digest_memo_;
+  /// Backing store of xv_digest(); the Value shares the batch's buffer.
+  struct XvMemo { View v; Value x; crypto::Digest d; };
+  std::optional<XvMemo> xv_digest_memo_;
 
   /// The proposal we last broadcast as leader; its loopback is accepted by
   /// bitwise equality instead of re-verification.

@@ -229,10 +229,12 @@ bool verify_progress_cert(const crypto::Verifier& verifier,
 }
 
 bool verify_commit_cert(const crypto::Verifier& verifier,
-                        const QuorumConfig& cfg, const CommitCert& cc) {
+                        const QuorumConfig& cfg, const CommitCert& cc,
+                        const crypto::Digest* xv_digest) {
   if (cc.v == kNoView || cc.x.empty()) return false;
-  return count_valid_distinct(verifier, cc.sigs, kDomAck,
-                              xv_preimage_digest(cc.x, cc.v)) >=
+  return count_valid_distinct(
+             verifier, cc.sigs, kDomAck,
+             xv_digest ? *xv_digest : xv_preimage_digest(cc.x, cc.v)) >=
          cfg.commit_quorum();
 }
 

@@ -150,9 +150,11 @@ bool verify_progress_cert(const crypto::Verifier& verifier,
                           const ProgressCert& sigma);
 
 /// Checks a commit certificate: >= commit_quorum signatures from distinct
-/// processes over ack_preimage(cc.x, cc.v).
+/// processes over ack_preimage(cc.x, cc.v). A caller that already holds
+/// xv_preimage_digest(cc.x, cc.v) passes it so the value is not hashed again.
 bool verify_commit_cert(const crypto::Verifier& verifier,
-                        const QuorumConfig& cfg, const CommitCert& cc);
+                        const QuorumConfig& cfg, const CommitCert& cc,
+                        const crypto::Digest* xv_digest = nullptr);
 
 /// Full vote-record validation as performed by a view-v leader (and by
 /// CertAck verifiers re-checking a CertReq):

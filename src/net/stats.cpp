@@ -45,6 +45,8 @@ std::string tag_name(std::uint8_t tag) {
     case tags::kVote: return "VOTE";
     case tags::kCertReq: return "CERT_REQ";
     case tags::kCertAck: return "CERT_ACK";
+    case tags::kValueReq: return "VALUE_REQ";
+    case tags::kValue: return "VALUE";
     case tags::kWish: return "WISH";
     case tags::kPbftPrePrepare: return "PBFT_PRE_PREPARE";
     case tags::kPbftPrepare: return "PBFT_PREPARE";

@@ -17,6 +17,8 @@ inline constexpr std::uint8_t kCommit = 0x04;   // slow path: commit certificate
 inline constexpr std::uint8_t kVote = 0x05;     // view change: vote
 inline constexpr std::uint8_t kCertReq = 0x06;  // view change: certification request
 inline constexpr std::uint8_t kCertAck = 0x07;  // view change: certification ack
+inline constexpr std::uint8_t kValueReq = 0x08;  // fetch the value behind an ack digest
+inline constexpr std::uint8_t kValue = 0x09;     // answer to kValueReq
 
 // View synchronizer (src/viewsync).
 inline constexpr std::uint8_t kWish = 0x10;

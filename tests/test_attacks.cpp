@@ -47,6 +47,15 @@ class AttackTest : public ::testing::Test {
     return cert;
   }
 
+  /// leader(1) = p0's view-1 proposal of `x`.
+  Bytes propose_wire(const Value& x) {
+    ProposeMsg msg;
+    msg.v = 1;
+    msg.x = x;
+    msg.tau = sign(0, kDomPropose, propose_preimage(x, 1));
+    return msg.serialize();
+  }
+
   std::size_t sent_count(std::uint8_t tag) {
     std::size_t count = 0;
     for (const auto& env : transport_.peek_outbox()) {
@@ -117,14 +126,16 @@ TEST_F(AttackTest, RelayedProposalFromNonLeaderRejected) {
 
 TEST_F(AttackTest, AckFloodFromOneProcessNeverDecides) {
   auto r = replica(1);
-  AckMsg ack{1, x_};
+  r->on_message(0, propose_wire(x_));
+  AckMsg ack{1, xv_preimage_digest(x_, 1)};
   for (int i = 0; i < 100; ++i) r->on_message(3, ack.serialize());
   EXPECT_FALSE(decided_.has_value());
 }
 
 TEST_F(AttackTest, FastQuorumMinusOneNeverDecides) {
   auto r = replica(1);
-  AckMsg ack{1, x_};
+  r->on_message(0, propose_wire(x_));  // own ack is not looped back
+  AckMsg ack{1, xv_preimage_digest(x_, 1)};
   // fast quorum = n - t = 6; deliver 5 distinct ackers.
   for (ProcessId p : {0u, 2u, 3u, 4u, 5u}) r->on_message(p, ack.serialize());
   EXPECT_FALSE(decided_.has_value());
@@ -134,9 +145,11 @@ TEST_F(AttackTest, FastQuorumMinusOneNeverDecides) {
 
 TEST_F(AttackTest, CommitQuorumOfForgedSigsNeverCommits) {
   auto r = replica(1);
+  r->on_message(0, propose_wire(x_));
   for (ProcessId p = 0; p < 7; ++p) {
     if (p == 1) continue;
-    AckSigMsg m{1, x_, crypto::Signature{Bytes(32, static_cast<uint8_t>(p))}};
+    AckSigMsg m{1, xv_preimage_digest(x_, 1),
+                crypto::Signature{Bytes(32, static_cast<uint8_t>(p))}};
     r->on_message(p, m.serialize());
   }
   EXPECT_EQ(sent_count(net::tags::kCommit), 0u);
@@ -160,7 +173,7 @@ TEST_F(AttackTest, SignedAckReplayAcrossViewsRejected) {
   auto r = replica(1);
   // phi_ack covers (x, v); replaying it under view 2 must fail.
   auto phi = sign(3, kDomAck, ack_preimage(x_, 1));
-  AckSigMsg m{2, x_, phi};
+  AckSigMsg m{2, xv_preimage_digest(x_, 2), phi};
   for (ProcessId p = 0; p < 7; ++p) {
     if (p != 1) r->on_message(p, m.serialize());
   }

@@ -10,6 +10,8 @@
 #include "crypto/verify_cache.hpp"
 #include "net/sim_network.hpp"
 #include "net/stats.hpp"
+#include "net/tags.hpp"
+#include "runtime/cluster.hpp"
 #include "sim/scheduler.hpp"
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
@@ -357,6 +359,51 @@ TEST(PayloadStats, UnicastSendsAllocatePerSend) {
   endpoint->send(1, Bytes(10, 0x01));
   endpoint->send(2, Bytes(10, 0x02));
   EXPECT_EQ(net::PayloadStats::allocs() - allocs, 2u);
+}
+
+// --- Consensus wire size --------------------------------------------------------
+
+/// Per-tag traffic of one fault-free single-shot decision at n = 4 (lock
+/// step, slow path on), every process proposing a `value_size`-byte input.
+/// Counts bytes, not time: deterministic.
+net::NetworkStats single_shot_traffic(std::size_t value_size) {
+  runtime::ClusterOptions options;
+  options.cfg = consensus::QuorumConfig::create(4, 1, 1);
+  options.net.delta = 100;
+  options.net.min_delay = 100;
+  std::vector<Value> inputs;
+  for (std::uint8_t p = 0; p < 4; ++p) {
+    inputs.push_back(Value(Bytes(value_size, static_cast<std::uint8_t>(p + 1))));
+  }
+  runtime::Cluster cluster(options, inputs);
+  cluster.start();
+  cluster.run_until(100'000);  // past the decision: every Commit is counted
+  EXPECT_TRUE(cluster.all_correct_decided());
+  EXPECT_TRUE(cluster.agreement());
+  return cluster.network().stats();
+}
+
+TEST(WireSize, AcksCarryADigestNotTheValue) {
+  net::NetworkStats small = single_shot_traffic(16);
+  net::NetworkStats large = single_shot_traffic(1024);
+  auto per_msg = [](const net::NetworkStats& stats, std::uint8_t tag) {
+    const net::TypeStats& ts = stats.by_type().at(tag);
+    return ts.bytes / ts.count;
+  };
+  for (std::uint8_t tag : {net::tags::kAck, net::tags::kAckSig}) {
+    EXPECT_EQ(large.messages_of(tag), 16u) << net::tag_name(tag);
+    EXPECT_EQ(per_msg(small, tag), per_msg(large, tag)) << net::tag_name(tag);
+  }
+  // [tag][view][len-prefixed digest], plus a len-prefixed signature.
+  EXPECT_LE(per_msg(large, net::tags::kAck), 64u);
+  EXPECT_LE(per_msg(large, net::tags::kAckSig), 96u);
+  EXPECT_EQ(large.messages_of(net::tags::kValueReq), 0u);
+  EXPECT_EQ(large.messages_of(net::tags::kValue), 0u);
+  // 52 messages; only the 4 proposals and 16 Commits carry the 1 KiB
+  // value: 6,225 B per decision (14,161 B while every ack and signed ack
+  // carried it too).
+  EXPECT_EQ(large.total_messages(), 52u);
+  EXPECT_LE(large.total_bytes() / 4, 6'500u) << large.summary();
 }
 
 // --- Sharded SMR hot-path invariants -----------------------------------------

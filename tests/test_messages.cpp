@@ -65,18 +65,56 @@ TEST_F(MessagesTest, ProposeRoundtrip) {
 }
 
 TEST_F(MessagesTest, AckRoundtrip) {
-  AckMsg m{4, x_};
+  AckMsg m{4, xv_preimage_digest(x_, 4)};
   expect_roundtrip(m, net::tags::kAck);
   auto out = std::get<AckMsg>(*parse_message(m.serialize()));
   EXPECT_EQ(out.v, 4u);
-  EXPECT_EQ(out.x, x_);
+  EXPECT_EQ(out.d, m.d);
 }
 
 TEST_F(MessagesTest, AckSigRoundtrip) {
-  AckSigMsg m{4, x_, sig(2, kDomAck, ack_preimage(x_, 4))};
+  AckSigMsg m{4, xv_preimage_digest(x_, 4),
+              sig(2, kDomAck, ack_preimage(x_, 4))};
   expect_roundtrip(m, net::tags::kAckSig);
   auto out = std::get<AckSigMsg>(*parse_message(m.serialize()));
+  EXPECT_EQ(out.d, m.d);
   EXPECT_EQ(out.phi_ack, m.phi_ack);
+}
+
+TEST_F(MessagesTest, AckSizeIsIndependentOfTheValue) {
+  Value big(Bytes(4096, 0x5a));
+  AckMsg small_ack{4, xv_preimage_digest(x_, 4)};
+  AckMsg big_ack{4, xv_preimage_digest(big, 4)};
+  EXPECT_EQ(big_ack.serialize().size(), small_ack.serialize().size());
+}
+
+TEST_F(MessagesTest, ValueReqAndValueRoundtrip) {
+  ValueReqMsg req{4, xv_preimage_digest(x_, 4)};
+  expect_roundtrip(req, net::tags::kValueReq);
+  EXPECT_EQ(std::get<ValueReqMsg>(*parse_message(req.serialize())).d, req.d);
+
+  ValueMsg value{4, x_};
+  expect_roundtrip(value, net::tags::kValue);
+  EXPECT_EQ(std::get<ValueMsg>(*parse_message(value.serialize())).x, x_);
+}
+
+TEST_F(MessagesTest, MalformedDigestLengthRejected) {
+  // [tag][v u64][len u32][digest]: a digest of any length but 32 must not
+  // parse, in every message that carries one.
+  for (std::uint8_t tag : {net::tags::kAck, net::tags::kAckSig,
+                           net::tags::kValueReq}) {
+    for (std::size_t len : {0u, 31u, 33u}) {
+      Encoder enc;
+      enc.u8(tag);
+      enc.u64(4);
+      enc.bytes(Bytes(len, 0xab));
+      if (tag == net::tags::kAckSig) {
+        sig(2, kDomAck, ack_preimage(x_, 4)).encode(enc);
+      }
+      EXPECT_FALSE(parse_message(enc.view()).has_value())
+          << "tag " << int(tag) << " len " << len;
+    }
+  }
 }
 
 TEST_F(MessagesTest, CommitRoundtrip) {
@@ -137,7 +175,7 @@ TEST_F(MessagesTest, CertAckRoundtrip) {
 }
 
 TEST_F(MessagesTest, MessageViewExtraction) {
-  AckMsg ack{17, x_};
+  AckMsg ack{17, xv_preimage_digest(x_, 17)};
   auto parsed = parse_message(ack.serialize());
   EXPECT_EQ(message_view(*parsed), 17u);
 }
@@ -153,7 +191,7 @@ TEST_F(MessagesTest, UnknownTagRejected) {
 }
 
 TEST_F(MessagesTest, TrailingBytesRejected) {
-  Bytes wire = AckMsg{4, x_}.serialize();
+  Bytes wire = AckMsg{4, xv_preimage_digest(x_, 4)}.serialize();
   wire.push_back(0x00);
   EXPECT_FALSE(parse_message(wire).has_value());
 }

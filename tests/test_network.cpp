@@ -154,6 +154,11 @@ TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
 TEST(TagName, KnownAndUnknown) {
   EXPECT_EQ(tag_name(tags::kPropose), "PROPOSE");
   EXPECT_EQ(tag_name(tags::kWish), "WISH");
+  EXPECT_EQ(tag_name(tags::kValueReq), "VALUE_REQ");
+  EXPECT_EQ(tag_name(tags::kValue), "VALUE");
+  EXPECT_EQ(tag_name(tags::kPbftPrepare), "PBFT_PREPARE");
+  EXPECT_EQ(tag_name(tags::kFabAccept), "FAB_ACCEPT");
+  EXPECT_EQ(tag_name(tags::kSmrSnapRequest), "SNAPSHOT_REQUEST");
   EXPECT_EQ(tag_name(0xee), "TAG_0xee");
 }
 

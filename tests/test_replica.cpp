@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "adversary/recording_transport.hpp"
 #include "consensus/replica.hpp"
 
@@ -48,7 +50,24 @@ class ReplicaTest : public ::testing::Test {
     return m.serialize();
   }
 
-  Bytes ack_wire(const Value& x, View v) { return AckMsg{v, x}.serialize(); }
+  Bytes ack_wire(const Value& x, View v) {
+    return AckMsg{v, xv_preimage_digest(x, v)}.serialize();
+  }
+
+  Bytes ack_sig_wire(ProcessId p, const Value& x, View v) {
+    return AckSigMsg{v, xv_preimage_digest(x, v),
+                     sign(p, kDomAck, ack_preimage(x, v))}
+        .serialize();
+  }
+
+  ProgressCert cert_for(const Value& x, View v) {
+    ProgressCert sigma;
+    for (ProcessId p : {2u, 3u}) {
+      sigma.acks.push_back(
+          SignatureEntry{p, sign(p, kDomCertAck, certack_preimage(x, v))});
+    }
+    return sigma;
+  }
 
   Bytes vote_wire(ProcessId voter, View v, Vote vote = Vote::nil(),
                   std::optional<CommitCert> cc = std::nullopt) {
@@ -112,6 +131,7 @@ TEST_F(ReplicaTest, AcksOnlyFirstProposalInView) {
 
 TEST_F(ReplicaTest, DecidesOnFastQuorumAcks) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));  // own ack is not looped back
   r->on_message(0, ack_wire(x_, 1));
   r->on_message(2, ack_wire(x_, 1));
   EXPECT_FALSE(decided_.has_value());
@@ -124,6 +144,7 @@ TEST_F(ReplicaTest, DecidesOnFastQuorumAcks) {
 
 TEST_F(ReplicaTest, DuplicateAckersDoNotCount) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));
   r->on_message(0, ack_wire(x_, 1));
   r->on_message(0, ack_wire(x_, 1));
   r->on_message(0, ack_wire(x_, 1));
@@ -132,6 +153,7 @@ TEST_F(ReplicaTest, DuplicateAckersDoNotCount) {
 
 TEST_F(ReplicaTest, MixedValueAcksDoNotCount) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));
   r->on_message(0, ack_wire(x_, 1));
   r->on_message(2, ack_wire(y_, 1));
   r->on_message(3, ack_wire(x_, 1));
@@ -140,9 +162,14 @@ TEST_F(ReplicaTest, MixedValueAcksDoNotCount) {
 
 TEST_F(ReplicaTest, DecidesOnlyOnce) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));
   for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_wire(x_, 1));
   ASSERT_TRUE(decided_.has_value());
   decided_.reset();
+  // A fully resolvable fast quorum for y in view 2 (p1 leads view 2).
+  r->enter_view(2);
+  r->on_message(1, propose_wire(1, y_, 2, cert_for(y_, 2)));
+  ASSERT_EQ(r->current_vote()->x, y_);
   for (ProcessId p : {0u, 1u, 2u, 3u}) r->on_message(p, ack_wire(y_, 2));
   EXPECT_FALSE(decided_.has_value()) << "second decision must not fire";
 }
@@ -184,9 +211,9 @@ TEST_F(ReplicaTest, VanillaModeSendsNoSignedAcks) {
 
 TEST_F(ReplicaTest, AssemblesCommitCertFromSignedAcks) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));  // signs its own ack
   for (ProcessId p : {0u, 2u, 3u}) {  // commit_quorum = 3
-    AckSigMsg m{1, x_, sign(p, kDomAck, ack_preimage(x_, 1))};
-    r->on_message(p, m.serialize());
+    r->on_message(p, ack_sig_wire(p, x_, 1));
   }
   auto commits = sent_of(net::tags::kCommit);
   ASSERT_EQ(commits.size(), kN);
@@ -197,8 +224,10 @@ TEST_F(ReplicaTest, AssemblesCommitCertFromSignedAcks) {
 
 TEST_F(ReplicaTest, InvalidAckSigIgnored) {
   auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));
   for (ProcessId p : {0u, 2u, 3u}) {
-    AckSigMsg m{1, x_, sign(p, kDomAck, ack_preimage(y_, 1))};  // wrong value
+    AckSigMsg m{1, xv_preimage_digest(x_, 1),
+                sign(p, kDomAck, ack_preimage(y_, 1))};  // wrong value
     r->on_message(p, m.serialize());
   }
   EXPECT_TRUE(sent_of(net::tags::kCommit).empty());
@@ -230,6 +259,99 @@ TEST_F(ReplicaTest, ForgedCommitCertIgnored) {
   CommitMsg m{1, x_, cc};
   for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, m.serialize());
   EXPECT_FALSE(decided_.has_value());
+}
+
+// --- Acks name the value by digest ----------------------------------------------
+
+TEST_F(ReplicaTest, QuorumAcksBeforeProposalDecideWhenItArrives) {
+  auto r = make_replica(1, y_);
+  for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_wire(x_, 1));
+  EXPECT_FALSE(decided_.has_value()) << "x is not known yet";
+  r->on_message(0, propose_wire(0, x_, 1));
+  ASSERT_TRUE(decided_.has_value());
+  EXPECT_EQ(decided_->value, x_);
+  EXPECT_FALSE(decided_->via_slow_path);
+}
+
+TEST_F(ReplicaTest, SignedAcksBeforeProposalCertifyWhenItArrives) {
+  auto r = make_replica(1, y_);
+  for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_sig_wire(p, x_, 1));
+  EXPECT_TRUE(sent_of(net::tags::kCommit).empty()) << "x is not known yet";
+  r->on_message(0, propose_wire(0, x_, 1));
+  EXPECT_EQ(sent_of(net::tags::kCommit).size(), kN);
+  ASSERT_TRUE(r->latest_cc().has_value());
+  EXPECT_TRUE(verify_commit_cert(verifier_, cfg_, *r->latest_cc()));
+}
+
+TEST_F(ReplicaTest, FastQuorumForUnknownDigestAsksTheAckersOnce) {
+  auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, y_, 1));  // we saw the other side
+  for (ProcessId p : {0u, 2u}) r->on_message(p, ack_wire(x_, 1));
+  EXPECT_TRUE(sent_of(net::tags::kValueReq).empty()) << "no quorum yet";
+  r->on_message(3, ack_wire(x_, 1));
+  // A further acker and a signed-ack quorum for the same key ask nothing.
+  r->on_message(3, ack_wire(x_, 1));
+  for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_sig_wire(p, x_, 1));
+
+  auto reqs = sent_of(net::tags::kValueReq);
+  ASSERT_EQ(reqs.size(), 3u);
+  std::set<ProcessId> targets;
+  for (const auto& env : reqs) {
+    targets.insert(env.to);
+    auto parsed = parse_message(env.payload);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(std::get<ValueReqMsg>(*parsed).d, xv_preimage_digest(x_, 1));
+  }
+  EXPECT_EQ(targets, (std::set<ProcessId>{0, 2, 3}));
+  EXPECT_FALSE(decided_.has_value());
+}
+
+TEST_F(ReplicaTest, SolicitedMatchingValueDecides) {
+  auto r = make_replica(1, y_);
+  for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_wire(x_, 1));
+  ASSERT_EQ(sent_of(net::tags::kValueReq).size(), 3u);
+  r->on_message(2, ValueMsg{1, x_}.serialize());
+  ASSERT_TRUE(decided_.has_value());
+  EXPECT_EQ(decided_->value, x_);
+  EXPECT_EQ(decided_->view, 1u);
+}
+
+TEST_F(ReplicaTest, UnsolicitedOrMismatchingValueIgnored) {
+  auto r = make_replica(1, y_);
+  // Unsolicited: nothing was asked, so x does not become known...
+  r->on_message(2, ValueMsg{1, x_}.serialize());
+  for (ProcessId p : {0u, 2u, 3u}) r->on_message(p, ack_wire(x_, 1));
+  EXPECT_FALSE(decided_.has_value());
+  // ...and the quorum it completes asks for x instead.
+  ASSERT_EQ(sent_of(net::tags::kValueReq).size(), 3u);
+  // Mismatching: a different value, or the right value in another view.
+  r->on_message(2, ValueMsg{1, y_}.serialize());
+  r->on_message(3, ValueMsg{2, x_}.serialize());
+  EXPECT_FALSE(decided_.has_value());
+  r->on_message(0, ValueMsg{1, x_}.serialize());
+  EXPECT_TRUE(decided_.has_value());
+}
+
+TEST_F(ReplicaTest, ValueReqAnsweredOncePerRequesterAndKey) {
+  auto r = make_replica(1, y_);
+  r->on_message(0, propose_wire(0, x_, 1));
+  transport_.take_outbox();
+  Bytes req_x = ValueReqMsg{1, xv_preimage_digest(x_, 1)}.serialize();
+  r->on_message(2, req_x);
+  r->on_message(2, req_x);
+  r->on_message(3, req_x);
+  // Unknown keys are never answered.
+  r->on_message(2, ValueReqMsg{1, xv_preimage_digest(y_, 1)}.serialize());
+  r->on_message(2, ValueReqMsg{2, xv_preimage_digest(x_, 1)}.serialize());
+
+  auto values = sent_of(net::tags::kValue);
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0].to, 2u);
+  EXPECT_EQ(values[1].to, 3u);
+  auto parsed = parse_message(values[0].payload);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(std::get<ValueMsg>(*parsed).x, x_);
+  EXPECT_EQ(std::get<ValueMsg>(*parsed).v, 1u);
 }
 
 // --- View change -----------------------------------------------------------------
